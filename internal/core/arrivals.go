@@ -30,7 +30,7 @@ type Arrivals interface {
 // DeterministicArrivals is a constant-rate process: one arrival every
 // 1/rate seconds. It panics when rate is not positive.
 func DeterministicArrivals(ratePerSec float64) Arrivals {
-	mustPositiveRate(ratePerSec)
+	must(ValidateRate(ratePerSec))
 	return deterministicArrivals{rate: ratePerSec}
 }
 
@@ -55,7 +55,7 @@ func (a deterministicArrivals) start(_ *rng.Source) func() (time.Duration, bool)
 // aggregate request traffic from many independent users. It panics
 // when rate is not positive.
 func PoissonArrivals(ratePerSec float64) Arrivals {
-	mustPositiveRate(ratePerSec)
+	must(ValidateRate(ratePerSec))
 	return poissonArrivals{rate: ratePerSec}
 }
 
@@ -81,14 +81,7 @@ func (a poissonArrivals) start(r *rng.Source) func() (time.Duration, bool) {
 // contain even one arrival at the given rate (such a "burst" would
 // never emit anything).
 func BurstyArrivals(ratePerSec float64, on, off time.Duration) Arrivals {
-	mustPositiveRate(ratePerSec)
-	if on <= 0 || off < 0 {
-		panic(fmt.Sprintf("core: bursty arrivals need on > 0 and off >= 0 (got %v/%v)", on, off))
-	}
-	if time.Duration(float64(time.Second)/ratePerSec) > on {
-		panic(fmt.Sprintf("core: bursty on-phase %v holds no arrivals at %g/s (period %v)",
-			on, ratePerSec, time.Duration(float64(time.Second)/ratePerSec)))
-	}
+	must(ValidateBursty(ratePerSec, on, off))
 	return burstyArrivals{rate: ratePerSec, on: on, off: off}
 }
 
@@ -125,14 +118,9 @@ func (a burstyArrivals) start(_ *rng.Source) func() (time.Duration, bool) {
 // source never arrive. It panics on an empty trace or a negative
 // instant.
 func TraceArrivals(instants []time.Duration) Arrivals {
-	if len(instants) == 0 {
-		panic("core: empty arrival trace")
-	}
+	must(ValidateTrace(instants))
 	ts := append([]time.Duration(nil), instants...)
 	sort.Slice(ts, func(i, j int) bool { return ts[i] < ts[j] })
-	if ts[0] < 0 {
-		panic(fmt.Sprintf("core: negative arrival instant %v in trace", ts[0]))
-	}
 	return traceArrivals{instants: ts}
 }
 
@@ -173,21 +161,7 @@ type Phase struct {
 // that can never emit cannot spin forever). It panics on an empty
 // schedule, a non-positive phase duration, or an all-silent schedule.
 func PhasedArrivals(phases []Phase, cycle bool) Arrivals {
-	if len(phases) == 0 {
-		panic("core: phased arrivals need at least one phase")
-	}
-	active := 0
-	for i, ph := range phases {
-		if ph.Duration <= 0 {
-			panic(fmt.Sprintf("core: phase %d duration %v (need > 0)", i, ph.Duration))
-		}
-		if ph.Arrivals != nil {
-			active++
-		}
-	}
-	if active == 0 {
-		panic("core: phased arrivals with every phase silent")
-	}
+	must(ValidatePhases(phases))
 	return phasedArrivals{phases: append([]Phase(nil), phases...), cycle: cycle}
 }
 
@@ -253,9 +227,7 @@ func DelayedArrivals(arr Arrivals, delay time.Duration) Arrivals {
 	if arr == nil {
 		panic("core: delayed arrivals need a wrapped process")
 	}
-	if delay < 0 {
-		panic(fmt.Sprintf("core: negative arrival delay %v", delay))
-	}
+	must(ValidateDelay(delay))
 	return delayedArrivals{inner: arr, delay: delay}
 }
 
@@ -276,9 +248,86 @@ func (a delayedArrivals) start(r *rng.Source) func() (time.Duration, bool) {
 	}
 }
 
-func mustPositiveRate(rate float64) {
-	if !(rate > 0) || math.IsInf(rate, 1) {
-		panic(fmt.Sprintf("core: arrival rate must be positive and finite (got %g)", rate))
+// The arrival checks below are the one copy of each constructor
+// precondition: the constructors panic on their error (a caller bug),
+// and config layers call them to reject bad input as an error. Each
+// error begins with the offending parameter's config key.
+
+// ValidateRate checks a mean arrival rate (key "rate"): positive and
+// finite.
+func ValidateRate(ratePerSec float64) error {
+	if !(ratePerSec > 0) || math.IsInf(ratePerSec, 1) {
+		return fmt.Errorf("rate: arrival rate %g (need positive finite)", ratePerSec)
+	}
+	return nil
+}
+
+// ValidateBursty checks BurstyArrivals' parameters (keys "rate", "on",
+// "off"): a valid rate, on > 0, off >= 0, and an on-phase long enough
+// to hold one arrival.
+func ValidateBursty(ratePerSec float64, on, off time.Duration) error {
+	if err := ValidateRate(ratePerSec); err != nil {
+		return err
+	}
+	if on <= 0 {
+		return fmt.Errorf("on: on-phase %v (need > 0)", on)
+	}
+	if off < 0 {
+		return fmt.Errorf("off: negative off-phase %v", off)
+	}
+	if period := time.Duration(float64(time.Second) / ratePerSec); period > on {
+		return fmt.Errorf("on: on-phase %v holds no arrivals at %g/s (period %v)", on, ratePerSec, period)
+	}
+	return nil
+}
+
+// ValidateTrace checks a replay trace (key "instants"): non-empty,
+// with no negative instant.
+func ValidateTrace(instants []time.Duration) error {
+	if len(instants) == 0 {
+		return fmt.Errorf("instants: empty trace")
+	}
+	for i, t := range instants {
+		if t < 0 {
+			return fmt.Errorf("instants[%d]: negative instant %v", i, t)
+		}
+	}
+	return nil
+}
+
+// ValidatePhases checks a PhasedArrivals schedule (key "phases"): at
+// least one phase, every duration > 0, not every phase silent.
+func ValidatePhases(phases []Phase) error {
+	if len(phases) == 0 {
+		return fmt.Errorf("phases: need at least one phase")
+	}
+	silent := true
+	for i, ph := range phases {
+		if ph.Duration <= 0 {
+			return fmt.Errorf("phases[%d].duration: phase duration %v (need > 0)", i, ph.Duration)
+		}
+		if ph.Arrivals != nil {
+			silent = false
+		}
+	}
+	if silent {
+		return fmt.Errorf("phases: every phase silent")
+	}
+	return nil
+}
+
+// ValidateDelay checks a DelayedArrivals offset (key "delay"): >= 0.
+func ValidateDelay(delay time.Duration) error {
+	if delay < 0 {
+		return fmt.Errorf("delay: negative delay %v", delay)
+	}
+	return nil
+}
+
+// must panics on a failed constructor precondition.
+func must(err error) {
+	if err != nil {
+		panic("core: " + err.Error())
 	}
 }
 

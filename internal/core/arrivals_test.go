@@ -283,6 +283,29 @@ func TestArrivalsValidation(t *testing.T) {
 	})
 	mustPanic("empty trace", func() { TraceArrivals(nil) })
 	mustPanic("negative instant", func() { TraceArrivals([]time.Duration{-time.Second}) })
+	mustPanic("all-silent phases", func() { PhasedArrivals([]Phase{{Duration: time.Second}}, false) })
+	mustPanic("negative delay", func() { DelayedArrivals(PoissonArrivals(1), -time.Second) })
+
+	// The checks the constructors panic on name the offending key.
+	checks := []struct {
+		err error
+		key string
+	}{
+		{ValidateRate(math.Inf(1)), "rate:"},
+		{ValidateRate(math.NaN()), "rate:"},
+		{ValidateBursty(10, 0, time.Second), "on:"},
+		{ValidateBursty(10, time.Second, -1), "off:"},
+		{ValidateBursty(1, 100*time.Millisecond, 0), "on:"},
+		{ValidateTrace([]time.Duration{0, -1}), "instants[1]:"},
+		{ValidatePhases(nil), "phases:"},
+		{ValidatePhases([]Phase{{Arrivals: PoissonArrivals(1)}}), "phases[0].duration:"},
+		{ValidateDelay(-1), "delay:"},
+	}
+	for i, c := range checks {
+		if c.err == nil || !strings.HasPrefix(c.err.Error(), c.key) {
+			t.Errorf("check %d: error %v, want one starting %q", i, c.err, c.key)
+		}
+	}
 
 	env := sim.NewEnv()
 	if _, err := NewArrivalSource(env, nil, PoissonArrivals(1), rng.New(1)); err == nil {

@@ -111,12 +111,20 @@ func newBatchTarget(name string, engine batchEngine, graph *nn.Graph, batchSize 
 // SetTimeline attaches a trace timeline (Fig. 4-style spans).
 func (t *BatchTarget) SetTimeline(tl *trace.Timeline) { t.timeline = tl }
 
-// SetAssembly configures adaptive batch assembly; call before Start.
-// A negative MaxWait panics (a caller bug, like a negative sleep).
-func (t *BatchTarget) SetAssembly(a BatchAssembly) {
+// Validate checks the assembly settings; the error begins with the
+// offending parameter's config key ("max_wait").
+func (a BatchAssembly) Validate() error {
 	if a.MaxWait < 0 {
-		panic(fmt.Sprintf("core: negative batch max-wait %v", a.MaxWait))
+		return fmt.Errorf("max_wait: negative wait %v", a.MaxWait)
 	}
+	return nil
+}
+
+// SetAssembly configures adaptive batch assembly; call before Start.
+// Settings Validate rejects panic (a caller bug, like a negative
+// sleep).
+func (t *BatchTarget) SetAssembly(a BatchAssembly) {
+	must(a.Validate())
 	t.assembly = a
 }
 

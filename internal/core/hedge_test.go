@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -185,6 +186,34 @@ func TestNewPoolHedgeValidation(t *testing.T) {
 	}
 	if _, err := NewPool(two, PoolOptions{Hedge: HedgeConfig{Quantile: 1.5}}); err == nil {
 		t.Error("quantile outside [0,1) must be rejected")
+	}
+}
+
+// TestHedgeConfigValidate holds one case per rule; each error names
+// its config key. NaN and infinite budgets are rejected like negative
+// ones.
+func TestHedgeConfigValidate(t *testing.T) {
+	cases := []struct {
+		hc  HedgeConfig
+		key string
+	}{
+		{HedgeConfig{Trigger: -1}, "trigger:"},
+		{HedgeConfig{Quantile: 1.5}, "quantile:"},
+		{HedgeConfig{Quantile: math.NaN()}, "quantile:"},
+		{HedgeConfig{MinSamples: -1}, "min_samples:"},
+		{HedgeConfig{Budget: -0.1}, "budget:"},
+		{HedgeConfig{Budget: math.NaN()}, "budget:"},
+		{HedgeConfig{Budget: math.Inf(1)}, "budget:"},
+		{HedgeConfig{Quantile: 0.9, DynamicBudget: true}, "dynamic:"},
+	}
+	for i, c := range cases {
+		if err := c.hc.Validate(); err == nil || !strings.HasPrefix(err.Error(), c.key) {
+			t.Errorf("case %d: error %v, want one starting %q", i, err, c.key)
+		}
+	}
+	ok := HedgeConfig{Trigger: time.Second, Quantile: 0.95, Budget: 0.05, DynamicBudget: true}
+	if err := ok.Validate(); err != nil {
+		t.Errorf("valid config rejected: %v", err)
 	}
 }
 

@@ -147,7 +147,7 @@ func NewPool(children []Target, opts PoolOptions) (*Pool, error) {
 		return nil, fmt.Errorf("core: negative queue depth %d", opts.QueueDepth)
 	}
 	if err := opts.Hedge.Validate(); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("core: hedge.%w", err)
 	}
 	if opts.Hedge.Enabled() {
 		if opts.Routing == RouteWorkStealing {

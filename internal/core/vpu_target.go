@@ -187,7 +187,7 @@ func NewVPUTarget(devices []*ncs.Device, blob []byte, opts VPUOptions) (*VPUTarg
 		return nil, fmt.Errorf("core: negative recovery attempt budget %d", opts.Recovery.MaxAttempts)
 	}
 	if err := opts.Hedge.Validate(); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("core: hedge.%w", err)
 	}
 	if opts.Timeline == nil {
 		opts.Timeline = trace.Disabled()

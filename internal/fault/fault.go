@@ -131,7 +131,7 @@ type Process struct {
 	// (the expansion must be finite).
 	Start, End time.Duration
 	// Factor and Window parameterize drawn Slowdown faults
-	// (defaults 4 and 2s).
+	// (0 = defaults 4 and 2s).
 	Factor float64
 	// Window is the drawn Slowdown duration.
 	Window time.Duration
@@ -169,44 +169,55 @@ func (pl Plan) NeedsRecovery() bool {
 }
 
 // Validate checks the plan's own shape (device resolution happens in
-// Apply, against the registry).
+// Apply, against the registry). Each error begins with the offending
+// parameter's config key ("events[0].factor", "processes[1].end").
 func (pl Plan) Validate() error {
 	for i, e := range pl.Events {
-		if e.Device == "" {
-			return fmt.Errorf("fault: event %d has no device", i)
-		}
-		if e.At < 0 {
-			return fmt.Errorf("fault: event %d at negative instant %v", i, e.At)
-		}
-		if e.Kind < StickHang || e.Kind > BatchOOM {
-			return fmt.Errorf("fault: event %d has unknown kind %v", i, e.Kind)
-		}
-		if e.Kind == Slowdown && (e.Factor <= 1 || e.Duration <= 0) {
-			return fmt.Errorf("fault: slowdown event %d needs factor > 1 and duration > 0 (got ×%g for %v)",
-				i, e.Factor, e.Duration)
-		}
-		if e.Count < 0 {
-			return fmt.Errorf("fault: event %d has negative count %d", i, e.Count)
+		key := fmt.Sprintf("events[%d]", i)
+		switch {
+		case e.Device == "":
+			return fmt.Errorf("%s.device: required", key)
+		case e.At < 0:
+			return fmt.Errorf("%s.at: negative instant %v", key, e.At)
+		case e.Kind < StickHang || e.Kind > BatchOOM:
+			return fmt.Errorf("%s.kind: unknown fault kind %v", key, e.Kind)
+		case e.Kind == Slowdown && !slowdownFactor(e.Factor):
+			return fmt.Errorf("%s.factor: slowdown factor %g (need finite > 1)", key, e.Factor)
+		case e.Kind == Slowdown && e.Duration <= 0:
+			return fmt.Errorf("%s.duration: slowdown window %v (need > 0)", key, e.Duration)
+		case e.Count < 0:
+			return fmt.Errorf("%s.count: negative count %d", key, e.Count)
 		}
 	}
 	for i, p := range pl.Processes {
-		if len(p.Devices) == 0 || len(p.Kinds) == 0 {
-			return fmt.Errorf("fault: process %d needs devices and kinds", i)
+		key := fmt.Sprintf("processes[%d]", i)
+		switch {
+		case len(p.Devices) == 0:
+			return fmt.Errorf("%s.devices: required", key)
+		case len(p.Kinds) == 0:
+			return fmt.Errorf("%s.kinds: required", key)
+		case !(p.Rate > 0) || math.IsInf(p.Rate, 1):
+			return fmt.Errorf("%s.rate: fault rate %g (need positive finite)", key, p.Rate)
+		case p.Start < 0:
+			return fmt.Errorf("%s.start: negative instant %v", key, p.Start)
+		case p.End <= p.Start:
+			return fmt.Errorf("%s.end: window end %v at or before start %v", key, p.End, p.Start)
+		case p.Factor != 0 && !slowdownFactor(p.Factor):
+			return fmt.Errorf("%s.factor: slowdown factor %g (need finite > 1, or 0 for the default)", key, p.Factor)
+		case p.Window < 0:
+			return fmt.Errorf("%s.window: negative window %v", key, p.Window)
 		}
-		if !(p.Rate > 0) || math.IsInf(p.Rate, 1) {
-			return fmt.Errorf("fault: process %d rate must be positive and finite (got %g)", i, p.Rate)
-		}
-		if p.Start < 0 || p.End <= p.Start {
-			return fmt.Errorf("fault: process %d window [%v, %v) is not a finite forward window", i, p.Start, p.End)
-		}
-		for _, k := range p.Kinds {
+		for j, k := range p.Kinds {
 			if k < StickHang || k > BatchOOM {
-				return fmt.Errorf("fault: process %d has unknown kind %v", i, k)
+				return fmt.Errorf("%s.kinds[%d]: unknown fault kind %v", key, j, k)
 			}
 		}
 	}
 	return nil
 }
+
+// slowdownFactor reports whether f is a usable slowdown multiplier.
+func slowdownFactor(f float64) bool { return f > 1 && !math.IsInf(f, 1) }
 
 // Registry maps device names to their injection hooks. One name may
 // carry several hook objects — register an NCS stick together with its
@@ -294,7 +305,7 @@ func (l *Log) Count() int {
 // fills in as the simulation runs.
 func Apply(env *sim.Env, plan Plan, seed *rng.Source, reg Registry, observe func(Injection)) (*Log, error) {
 	if err := plan.Validate(); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("fault: %w", err)
 	}
 	if seed == nil {
 		seed = rng.New(1)

@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -98,6 +99,9 @@ func TestApplyRejectsBadPlans(t *testing.T) {
 		{Events: []Event{{Device: "dev0", Kind: StickHang, At: -time.Second}}},                  // negative instant
 		{Processes: []Process{{Devices: []string{"dev0"}, Kinds: []Kind{StickHang}, Rate: -1, End: time.Second}}},
 		{Processes: []Process{{Devices: []string{"dev0"}, Kinds: []Kind{StickHang}, Rate: 1}}}, // empty window
+		{Events: []Event{{Device: "dev0", Kind: Slowdown, Factor: math.Inf(1), Duration: time.Second}}},
+		{Processes: []Process{{Devices: []string{"dev0"}, Kinds: []Kind{Slowdown}, Rate: 1, End: time.Second, Factor: 0.5}}},
+		{Processes: []Process{{Devices: []string{"dev0"}, Kinds: []Kind{Slowdown}, Rate: 1, End: time.Second, Window: -1}}},
 	}
 	for i, plan := range cases {
 		if _, err := Apply(env, plan, rng.New(1), reg, nil); err == nil {

@@ -27,6 +27,7 @@ package pipeline
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/core"
@@ -316,7 +317,7 @@ func New(opts ...Option) (*Session, error) {
 func NewFromConfig(cfg Config) (*Session, error) {
 	applyDefaults(&cfg)
 	if err := validate(&cfg); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("pipeline: %w", err)
 	}
 
 	s := &Session{cfg: cfg, env: sim.NewEnv()}
@@ -383,31 +384,61 @@ func applyDefaults(cfg *Config) {
 		}
 	}
 	for i := range cfg.Groups {
-		g := &cfg.Groups[i]
-		switch g.Kind {
-		case GroupCPU, GroupGPU:
-			if g.Batch == 0 {
-				g.Batch = 8
-			}
-		case GroupVPU:
-			if g.Devices == 0 {
-				g.Devices = 1
-			}
-		}
+		cfg.Groups[i].applyDefaults()
 	}
 	for i := range cfg.Stages {
-		g := &cfg.Stages[i].Group
-		switch g.Kind {
-		case GroupCPU, GroupGPU:
-			if g.Batch == 0 {
-				g.Batch = 8
-			}
-		case GroupVPU:
-			if g.Devices == 0 {
-				g.Devices = 1
-			}
+		cfg.Stages[i].Group.applyDefaults()
+	}
+}
+
+// applyDefaults sizes an unsized group: batch 8 on CPU/GPU, one stick
+// on a VPU.
+func (g *Group) applyDefaults() {
+	switch g.Kind {
+	case GroupCPU, GroupGPU:
+		if g.Batch == 0 {
+			g.Batch = 8
+		}
+	case GroupVPU:
+		if g.Devices == 0 {
+			g.Devices = 1
 		}
 	}
+}
+
+// validate checks one group after applyDefaults (so a CPU/GPU batch or
+// a VPU stick count of 0 has already become its default). role
+// ("group" or "stage") and i label its errors with the config key
+// ("groups[1].batch") and the group ("group 1").
+func (g Group) validate(role string, i int) error {
+	key := fmt.Sprintf("%ss[%d]", role, i)
+	switch {
+	case g.Kind < GroupCPU || g.Kind > GroupCustom:
+		return fmt.Errorf("%s.kind: %s %d: unknown kind %v", key, role, i, g.Kind)
+	case g.Batch < 0:
+		return fmt.Errorf("%s.batch: %s %d: negative batch size %d", key, role, i, g.Batch)
+	case g.Devices < 0:
+		return fmt.Errorf("%s.devices: %s %d: negative device count %d", key, role, i, g.Devices)
+	case g.Kind == GroupCustom && g.Target == nil:
+		return fmt.Errorf("%s.target: %s %d: custom %s needs a Target", key, role, i, role)
+	case !(g.Weight >= 0) || math.IsInf(g.Weight, 1):
+		return fmt.Errorf("%s.weight: %s %d: weight %g (need finite >= 0)", key, role, i, g.Weight)
+	}
+	return nil
+}
+
+// Validate runs the checks NewFromConfig makes before it builds
+// anything, on a defaulted copy (cfg itself is left untouched). Each
+// error begins with the offending field's config key
+// ("groups[1].batch", "hedge.budget", "tenants.tenants[0].id").
+// What needs the session itself — cut geometry against the network,
+// the image count against the dataset, fault device names against the
+// registry — is checked later, by NewFromConfig or Run.
+func (cfg Config) Validate() error {
+	cfg.Groups = append([]Group(nil), cfg.Groups...)
+	cfg.Stages = append([]Stage(nil), cfg.Stages...)
+	applyDefaults(&cfg)
+	return validate(&cfg)
 }
 
 func validate(cfg *Config) error {
@@ -416,98 +447,87 @@ func validate(cfg *Config) error {
 			return err
 		}
 	} else if len(cfg.Groups) == 0 {
-		return fmt.Errorf("pipeline: session needs at least one device group (WithCPU/WithGPU/WithVPUs/WithTarget) or stage chain (WithStages)")
+		return fmt.Errorf("groups: session needs at least one device group (WithCPU/WithGPU/WithVPUs/WithTarget) or stage chain (WithStages)")
+	} else if len(cfg.Cuts) > 0 {
+		return fmt.Errorf("cuts: cuts need stages (WithStages)")
 	}
 	if cfg.Images < 0 {
-		return fmt.Errorf("pipeline: negative image count %d", cfg.Images)
+		return fmt.Errorf("images: negative image count %d", cfg.Images)
 	}
 	for i, g := range cfg.Groups {
-		switch g.Kind {
-		case GroupCPU, GroupGPU:
-			if g.Batch < 1 {
-				return fmt.Errorf("pipeline: group %d: batch size %d", i, g.Batch)
-			}
-		case GroupVPU:
-			if g.Devices < 1 {
-				return fmt.Errorf("pipeline: group %d: %d VPU devices", i, g.Devices)
-			}
-		case GroupCustom:
-			if g.Target == nil {
-				return fmt.Errorf("pipeline: group %d: custom group needs a Target", i)
-			}
-		default:
-			return fmt.Errorf("pipeline: group %d: unknown kind %v", i, g.Kind)
+		if err := g.validate("group", i); err != nil {
+			return err
 		}
-		if g.Weight < 0 {
-			return fmt.Errorf("pipeline: group %d: negative weight %g", i, g.Weight)
-		}
+	}
+	if cfg.QueueDepth < 0 {
+		return fmt.Errorf("queue_depth: negative queue depth %d", cfg.QueueDepth)
 	}
 	if cfg.StreamCapacity != nil && *cfg.StreamCapacity < 0 {
-		return fmt.Errorf("pipeline: negative stream capacity %d", *cfg.StreamCapacity)
+		return fmt.Errorf("stream_capacity: negative stream capacity %d", *cfg.StreamCapacity)
 	}
 	if cfg.SLO < 0 {
-		return fmt.Errorf("pipeline: negative SLO %v", cfg.SLO)
+		return fmt.Errorf("slo: negative deadline %v", cfg.SLO)
 	}
 	if cfg.Tenants.Enabled() {
 		if err := cfg.Tenants.Validate(); err != nil {
-			return fmt.Errorf("pipeline: %w", err)
+			return fmt.Errorf("tenants.%w", err)
 		}
 		// The tenant scheduler owns both the arrival edge (one pump
 		// per tenant lane) and the admission edge (per-tenant queues,
 		// quotas, shed policies), so the single-tenant equivalents
 		// cannot compose with it.
 		if cfg.Arrivals != nil {
-			return fmt.Errorf("pipeline: tenant lanes own their arrival processes; WithTenants excludes WithArrivals")
+			return fmt.Errorf("tenants: tenant lanes own their arrival processes; WithTenants excludes WithArrivals")
 		}
 		if cfg.StreamCapacity != nil {
-			return fmt.Errorf("pipeline: tenant lanes pace the source themselves; WithTenants excludes WithStream")
+			return fmt.Errorf("tenants: tenant lanes pace the source themselves; WithTenants excludes WithStream")
 		}
 		if cfg.AdmissionDepth > 0 {
-			return fmt.Errorf("pipeline: the tenant scheduler is the admission edge; WithTenants excludes WithAdmission")
+			return fmt.Errorf("tenants: the tenant scheduler is the admission edge; WithTenants excludes WithAdmission")
 		}
 	}
 	if cfg.AdmissionDepth < 0 {
-		return fmt.Errorf("pipeline: negative admission depth %d", cfg.AdmissionDepth)
+		return fmt.Errorf("admission_depth: negative admission depth %d", cfg.AdmissionDepth)
 	}
 	if cfg.AdmissionDepth > 0 && cfg.Arrivals == nil && cfg.StreamCapacity == nil {
 		// Against an eager closed-loop source the admission pump would
 		// drain the whole dataset at t=0 and shed everything beyond
 		// the queue depth before any device runs.
-		return fmt.Errorf("pipeline: admission control needs a paced source (WithArrivals or WithStream)")
+		return fmt.Errorf("admission_depth: admission control needs a paced source (WithArrivals or WithStream)")
 	}
 	if cfg.AdmissionPolicy < core.ShedNewest || cfg.AdmissionPolicy > core.Block {
-		return fmt.Errorf("pipeline: unknown admission policy %v", cfg.AdmissionPolicy)
+		return fmt.Errorf("admission_policy: unknown admission policy %v", cfg.AdmissionPolicy)
 	}
 	if cfg.AdmissionShrink && cfg.AdmissionDepth == 0 {
-		return fmt.Errorf("pipeline: admission shrink needs a bounded ingress (WithAdmission)")
+		return fmt.Errorf("admission_shrink: admission shrink needs a bounded ingress (WithAdmission)")
 	}
 	if cfg.AdmissionMinDepth < 0 {
-		return fmt.Errorf("pipeline: negative admission min-depth %d", cfg.AdmissionMinDepth)
+		return fmt.Errorf("admission_min_depth: negative floor %d", cfg.AdmissionMinDepth)
 	}
 	if err := cfg.Hedge.Validate(); err != nil {
-		return fmt.Errorf("pipeline: %w", err)
+		return fmt.Errorf("hedge.%w", err)
 	}
 	if cfg.Hedge.Enabled() {
 		if len(cfg.Groups) == 1 {
 			g := cfg.Groups[0]
 			if g.Kind != GroupVPU || g.Devices < 2 {
-				return fmt.Errorf("pipeline: hedging a single group needs a multi-stick VPU group (got %v)", g.Kind)
+				return fmt.Errorf("hedge: hedging a single group needs a multi-stick VPU group (got %v)", g.Kind)
 			}
 		} else if cfg.Routing == core.RouteWorkStealing {
-			return fmt.Errorf("pipeline: hedging needs per-group feeds; routing %v shares the source directly", cfg.Routing)
+			return fmt.Errorf("hedge: hedging needs per-group feeds; routing %v shares the source directly", cfg.Routing)
 		}
 	}
-	if cfg.BatchMaxWait < 0 {
-		return fmt.Errorf("pipeline: negative batch max-wait %v", cfg.BatchMaxWait)
+	if err := (core.BatchAssembly{MaxWait: cfg.BatchMaxWait}).Validate(); err != nil {
+		return fmt.Errorf("batch_%w", err) // key max_wait -> batch_max_wait
 	}
 	if err := cfg.Faults.Validate(); err != nil {
-		return fmt.Errorf("pipeline: %w", err)
+		return fmt.Errorf("faults.%w", err)
 	}
 	if cfg.Recovery.Timeout < 0 {
-		return fmt.Errorf("pipeline: negative recovery timeout %v", cfg.Recovery.Timeout)
+		return fmt.Errorf("recovery.timeout: negative heartbeat %v", cfg.Recovery.Timeout)
 	}
 	if cfg.Recovery.MaxAttempts < 0 {
-		return fmt.Errorf("pipeline: negative recovery attempt budget %d", cfg.Recovery.MaxAttempts)
+		return fmt.Errorf("recovery.max_attempts: negative budget %d", cfg.Recovery.MaxAttempts)
 	}
 	return nil
 }

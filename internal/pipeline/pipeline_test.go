@@ -1,8 +1,10 @@
 package pipeline
 
 import (
+	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/imagenet"
@@ -284,6 +286,36 @@ func TestSessionStaticOverStream(t *testing.T) {
 	}
 	if rep.Images != 0 {
 		t.Errorf("images = %d after routing error", rep.Images)
+	}
+}
+
+// TestConfigValidate: Config.Validate checks a defaulted copy (the
+// caller's groups keep their zero sizes) and names the offending key,
+// with the group or stage it belongs to.
+func TestConfigValidate(t *testing.T) {
+	cfg := Config{Groups: []Group{{Kind: GroupCPU}, {Kind: GroupVPU}}}
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("valid config rejected: %v", err)
+	}
+	if cfg.Groups[0].Batch != 0 || cfg.Groups[1].Devices != 0 {
+		t.Errorf("Validate defaulted the caller's groups: %+v", cfg.Groups)
+	}
+	cases := []struct {
+		cfg  Config
+		want string
+	}{
+		{Config{Groups: []Group{{Kind: GroupCPU}, {Kind: GroupGPU, Batch: -1}}}, "groups[1].batch: group 1"},
+		{Config{Groups: []Group{{Kind: GroupCPU, Weight: math.NaN()}}}, "groups[0].weight: group 0"},
+		{Config{Stages: []Stage{CPUStage(4), VPUStage(-1)}, Cuts: []int{10}}, "stages[1].devices: stage 1"},
+		{Config{Groups: []Group{{Kind: GroupCPU}}, Cuts: []int{10}}, "cuts:"},
+		{Config{Groups: []Group{{Kind: GroupCPU}}, QueueDepth: -1}, "queue_depth:"},
+		{Config{Groups: []Group{{Kind: GroupCPU}}, Hedge: core.HedgeConfig{Trigger: time.Second}}, "hedge:"},
+		{Config{Groups: []Group{{Kind: GroupCPU}}, BatchMaxWait: -1}, "batch_max_wait:"},
+	}
+	for i, c := range cases {
+		if err := c.cfg.Validate(); err == nil || !strings.HasPrefix(err.Error(), c.want) {
+			t.Errorf("case %d: error %v, want one starting %q", i, err, c.want)
+		}
 	}
 }
 

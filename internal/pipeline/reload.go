@@ -53,11 +53,12 @@ func (s *Session) ReloadSLO(target time.Duration) error {
 // unlimited): triggers firing after the call are capped by the new
 // budget, duplicates already launched stay counted against the old
 // one. It reaches whichever engine carries the session's hedger — the
-// device-group pool, or the lone multi-stick VPU target. A negative
-// budget is an error.
+// device-group pool, or the lone multi-stick VPU target. A budget
+// core.HedgeConfig.Validate rejects (negative, NaN, infinite) is an
+// error.
 func (s *Session) ReloadHedgeBudget(budget float64) error {
-	if budget < 0 {
-		return fmt.Errorf("pipeline: negative hedge budget %g", budget)
+	if err := (core.HedgeConfig{Budget: budget}).Validate(); err != nil {
+		return fmt.Errorf("pipeline: hedge.%w", err)
 	}
 	s.cfg.Hedge.Budget = budget
 	if s.pool != nil {

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -181,8 +182,10 @@ func TestReloadValidation(t *testing.T) {
 	if err := sess.ReloadSLO(-time.Second); err == nil {
 		t.Error("negative SLO accepted")
 	}
-	if err := sess.ReloadHedgeBudget(-0.1); err == nil {
-		t.Error("negative hedge budget accepted")
+	for _, b := range []float64{-0.1, math.NaN(), math.Inf(1)} {
+		if err := sess.ReloadHedgeBudget(b); err == nil || !strings.Contains(err.Error(), "budget") {
+			t.Errorf("hedge budget %g: error %v, want a budget error", b, err)
+		}
 	}
 	if err := sess.ReloadAdmissionDepth(0); err == nil {
 		t.Error("zero admission depth accepted")

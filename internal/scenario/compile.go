@@ -14,115 +14,321 @@ import (
 	"repro/internal/tenant"
 )
 
-// Compilation: a validated scenario lowers onto pipeline.Config — the
-// same struct the hand-wired benches and options build — so a
-// scenario session is indistinguishable from a hand-coded one. The
-// one piece of late validation lives here: named cuts are resolved
-// against the workload network's layer list, which only exists once
-// the network kind is known.
+// Compilation: a scenario lowers onto pipeline.Config — the same
+// struct the hand-wired benches and options build — so a scenario
+// session is indistinguishable from a hand-coded one. Lowering is also
+// how a scenario is validated (see validate.go). The one piece of late
+// validation lives in Compile: named cuts are resolved against the
+// workload network's layer list, which only exists once the network
+// kind is known.
 
-func compileKind(k string) pipeline.GroupKind {
-	switch k {
-	case "cpu":
-		return pipeline.GroupCPU
-	case "gpu":
-		return pipeline.GroupGPU
+// lower checks the scenario and lowers it onto a pipeline.Config with
+// placeholder cut indices (Compile resolves the declared cuts).
+func (sc *Scenario) lower() (pipeline.Config, error) {
+	cfg := pipeline.Config{
+		Seed:    sc.Seed,
+		NetSeed: sc.NetSeed,
+		Images:  sc.Images,
+		SLO:     sc.SLO.Std(),
 	}
-	return pipeline.GroupVPU
+	if sc.Name == "" {
+		return cfg, pathErr("name", "required (a scenario must name itself)")
+	}
+	var err error
+	if cfg.Network, err = lookup(networks, "network", "network", sc.Network, knownNetworks); err != nil {
+		return cfg, err
+	}
+	if d := sc.Dataset; d != nil {
+		// Zero keeps the imagenet default, so a negative override can
+		// only be a typo.
+		if d.Images < 0 || d.Classes < 0 || d.Subsets < 0 || d.Size < 0 {
+			return cfg, pathErr("dataset", "negative dataset parameter")
+		}
+		dc := imagenet.DefaultConfig()
+		if d.Images > 0 {
+			dc.Images = d.Images
+		}
+		if d.Classes > 0 {
+			dc.Classes = d.Classes
+		}
+		if d.Subsets > 0 {
+			dc.Subsets = d.Subsets
+		}
+		if d.Size > 0 {
+			dc.Size = d.Size
+		}
+		if d.Seed != 0 {
+			dc.Seed = d.Seed
+		}
+		cfg.Dataset = dc
+	}
+	for _, step := range []func(*pipeline.Config) error{sc.lowerFleet, sc.lowerTraffic, sc.lowerKnobs, sc.lowerFaults} {
+		if err := step(&cfg); err != nil {
+			return cfg, err
+		}
+	}
+	if err := cfg.Validate(); err != nil {
+		return cfg, rekey(err, sectionOf)
+	}
+	return cfg, sc.checkReloads(cfg)
 }
 
-func compileRouting(r string) core.Routing {
-	switch r {
-	case "static-split":
-		return core.RouteStatic
-	case "round-robin":
-		return core.RouteRoundRobin
-	case "work-stealing":
-		return core.RouteWorkStealing
-	case "latency-ewma":
-		return core.RouteLatency
+func (sc *Scenario) lowerFleet(cfg *pipeline.Config) error {
+	f := &sc.Fleet
+	if len(f.Groups) == 0 && len(f.Stages) == 0 {
+		return pathErr("fleet", "needs groups or stages")
 	}
-	return core.RouteWeighted
+	if len(f.Groups) > 0 && len(f.Stages) > 0 {
+		return pathErr("fleet", "groups and stages are mutually exclusive")
+	}
+	for i, g := range f.Groups {
+		pg, err := lowerGroup(fmt.Sprintf("fleet.groups[%d]", i), g)
+		if err != nil {
+			return err
+		}
+		cfg.Groups = append(cfg.Groups, pg)
+	}
+	for i, s := range f.Stages {
+		pg, err := lowerGroup(fmt.Sprintf("fleet.stages[%d]", i), s.GroupSpec)
+		if err != nil {
+			return err
+		}
+		cfg.Stages = append(cfg.Stages, pipeline.Stage{Group: pg, Queue: s.Queue, Replicas: s.Replicas})
+	}
+	cfg.Cuts = make([]int, len(f.Cuts))
+	cfg.QueueDepth = f.QueueDepth
+	var err error
+	cfg.Routing, err = lookup(routings, "fleet.routing", "routing", f.Routing, knownRoutings)
+	return err
 }
 
-func compilePolicy(p string) core.OverloadPolicy {
-	switch p {
-	case "shed-oldest":
-		return core.ShedOldest
-	case "block":
-		return core.Block
-	}
-	return core.ShedNewest
-}
-
-func compileScheduler(s string) tenant.Scheduler {
-	switch s {
-	case "fair", "weighted-fair":
-		return tenant.WeightedFair
-	case "priority":
-		return tenant.Priority
-	}
-	return tenant.FIFO
-}
-
-func compileFaultKind(k string) fault.Kind {
-	switch k {
-	case "hang":
-		return fault.StickHang
-	case "link-drop":
-		return fault.LinkDrop
-	case "transient":
-		return fault.TransientError
-	case "slowdown":
-		return fault.Slowdown
-	}
-	return fault.BatchOOM
-}
-
-func compileGroup(g GroupSpec) pipeline.Group {
+func lowerGroup(path string, g GroupSpec) (pipeline.Group, error) {
+	kind, err := lookup(kinds, path+".kind", "device kind", g.Kind, knownKinds)
 	return pipeline.Group{
-		Kind:      compileKind(g.Kind),
+		Kind:      kind,
 		Batch:     g.Batch,
 		Devices:   g.Devices,
 		Weight:    g.Weight,
 		SeedLabel: g.SeedLabel,
-	}
+	}, err
 }
 
-// compileArrivals lowers a validated arrival spec onto the core
-// constructors. Validation mirrored every constructor precondition,
-// so this can never panic.
-func compileArrivals(a *ArrivalSpec) core.Arrivals {
+func (sc *Scenario) lowerTraffic(cfg *pipeline.Config) error {
+	t := sc.Traffic
+	if t == nil {
+		return nil
+	}
+	if t.Arrivals != nil && t.Tenants != nil {
+		return pathErr("traffic", "arrivals and tenants are mutually exclusive (tenant lanes carry their own arrival processes)")
+	}
+	if t.ArrivalLabel != "" && t.Arrivals == nil {
+		return pathErr("traffic.arrival_label", "needs traffic.arrivals")
+	}
+	var err error
+	if t.Arrivals != nil {
+		if cfg.Arrivals, err = lowerArrivals("traffic.arrivals", t.Arrivals, false); err != nil {
+			return err
+		}
+		cfg.ArrivalLabel = t.ArrivalLabel
+	}
+	ts := t.Tenants
+	if ts == nil {
+		return nil
+	}
+	if len(ts.Tenants) == 0 {
+		return pathErr("traffic.tenants.tenants", "need at least one tenant")
+	}
+	tc := &cfg.Tenants
+	if tc.Scheduler, err = lookup(schedulers, "traffic.tenants.scheduler", "scheduler", ts.Scheduler, knownSchedulers); err != nil {
+		return err
+	}
+	if tc.SharedOverload, err = lookup(policies, "traffic.tenants.shared_overload", "overload policy", ts.SharedOverload, knownPolicies); err != nil {
+		return err
+	}
+	tc.SharedDepth = ts.SharedDepth
+	for i, tn := range ts.Tenants {
+		p := fmt.Sprintf("traffic.tenants.tenants[%d]", i)
+		lane := tenant.Tenant{
+			ID:          tn.ID,
+			Weight:      tn.Weight,
+			Priority:    tn.Priority,
+			SLO:         tn.SLO.Std(),
+			QueueDepth:  tn.QueueDepth,
+			MaxInFlight: tn.MaxInFlight,
+			RatePerSec:  tn.RatePerSec,
+			Burst:       tn.Burst,
+		}
+		if lane.Overload, err = lookup(policies, p+".overload", "overload policy", tn.Overload, knownPolicies); err != nil {
+			return err
+		}
+		if tn.Arrivals != nil {
+			if lane.Arrivals, err = lowerArrivals(p+".arrivals", tn.Arrivals, false); err != nil {
+				return err
+			}
+		}
+		tc.Tenants = append(tc.Tenants, lane)
+	}
+	return nil
+}
+
+// lowerArrivals checks an arrival spec and builds it with the core
+// constructors. The JSON rules — the process spelling, which keys a
+// process admits — are checked here; every range rule is the core
+// check the constructor itself panics on, so a spec that passes can
+// never panic a constructor. nested marks a phase of a phased
+// schedule, where "silence" is legal (and lowers to nil) and "phased"
+// is not.
+func lowerArrivals(path string, a *ArrivalSpec, nested bool) (core.Arrivals, error) {
+	at := func(err error) (core.Arrivals, error) { return nil, fmt.Errorf("%s.%v", path, err) }
+	if a.Process != "phased" {
+		if a.Cycle {
+			return nil, pathErr(path+".cycle", "only meaningful with a phased process")
+		}
+		if len(a.Phases) > 0 {
+			return nil, pathErr(path+".phases", "only meaningful with a phased process")
+		}
+	}
 	var arr core.Arrivals
 	switch a.Process {
-	case "deterministic":
-		arr = core.DeterministicArrivals(a.Rate)
-	case "poisson":
-		arr = core.PoissonArrivals(a.Rate)
+	case "deterministic", "poisson":
+		if err := core.ValidateRate(a.Rate); err != nil {
+			return at(err)
+		}
+		if a.Process == "poisson" {
+			arr = core.PoissonArrivals(a.Rate)
+		} else {
+			arr = core.DeterministicArrivals(a.Rate)
+		}
 	case "bursty":
+		if err := core.ValidateBursty(a.Rate, a.On.Std(), a.Off.Std()); err != nil {
+			return at(err)
+		}
 		arr = core.BurstyArrivals(a.Rate, a.On.Std(), a.Off.Std())
 	case "trace":
 		instants := make([]time.Duration, len(a.Instants))
 		for i, ins := range a.Instants {
 			instants[i] = ins.Std()
 		}
+		if err := core.ValidateTrace(instants); err != nil {
+			return at(err)
+		}
 		arr = core.TraceArrivals(instants)
 	case "phased":
+		if nested {
+			return nil, pathErr(path+".process", "phased schedules cannot nest")
+		}
 		phases := make([]core.Phase, len(a.Phases))
 		for i := range a.Phases {
 			ph := &a.Phases[i]
-			var inner core.Arrivals
-			if ph.Process != "silence" {
-				inner = compileArrivals(&ph.ArrivalSpec)
+			inner, err := lowerArrivals(fmt.Sprintf("%s.phases[%d]", path, i), &ph.ArrivalSpec, true)
+			if err != nil {
+				return nil, err
 			}
 			phases[i] = core.Phase{Arrivals: inner, Duration: ph.Duration.Std()}
 		}
+		if err := core.ValidatePhases(phases); err != nil {
+			return at(err)
+		}
 		arr = core.PhasedArrivals(phases, a.Cycle)
+	case "silence":
+		if !nested {
+			return nil, pathErr(path+".process", "silence is only meaningful as a phase of a phased schedule")
+		}
+	default:
+		return nil, pathErr(path+".process", "unknown arrival process %q (want %s)", a.Process, knownProcesses)
 	}
-	if a.Delay > 0 {
+	if err := core.ValidateDelay(a.Delay.Std()); err != nil {
+		return at(err)
+	}
+	if a.Delay > 0 && arr != nil {
 		arr = core.DelayedArrivals(arr, a.Delay.Std())
 	}
-	return arr
+	return arr, nil
+}
+
+func (sc *Scenario) lowerKnobs(cfg *pipeline.Config) error {
+	var err error
+	if ad := sc.Admission; ad != nil {
+		if ad.Depth == 0 {
+			return pathErr("admission.depth", "required (the ingress bound, >= 1)")
+		}
+		if sc.Traffic == nil || sc.Traffic.Arrivals == nil {
+			return pathErr("admission", "needs traffic.arrivals (a bounded ingress is only meaningful against offered load)")
+		}
+		if cfg.AdmissionPolicy, err = lookup(policies, "admission.policy", "overload policy", ad.Policy, knownPolicies); err != nil {
+			return err
+		}
+		cfg.AdmissionDepth = ad.Depth
+		cfg.AdmissionShrink = ad.Shrink
+		cfg.AdmissionMinDepth = ad.MinDepth
+	}
+	if h := sc.Hedge; h != nil {
+		if h.Trigger == 0 && h.Quantile == 0 {
+			return pathErr("hedge", "needs a trigger or a quantile")
+		}
+		cfg.Hedge = core.HedgeConfig{
+			Trigger:       h.Trigger.Std(),
+			Quantile:      h.Quantile,
+			MinSamples:    h.MinSamples,
+			Budget:        h.Budget,
+			DynamicBudget: h.Dynamic,
+		}
+	}
+	if b := sc.Batching; b != nil {
+		cfg.BatchMaxWait = b.MaxWait.Std()
+		cfg.AdaptiveBatch = b.Adaptive
+	}
+	if r := sc.Recovery; r != nil {
+		if r.Timeout == 0 {
+			return pathErr("recovery.timeout", "required (the completion heartbeat, > 0)")
+		}
+		cfg.Recovery = core.RecoveryConfig{
+			Timeout:     r.Timeout.Std(),
+			Recover:     r.Recover == nil || *r.Recover,
+			MaxAttempts: r.MaxAttempts,
+		}
+	}
+	return nil
+}
+
+func (sc *Scenario) lowerFaults(cfg *pipeline.Config) error {
+	f := sc.Faults
+	if f == nil {
+		return nil
+	}
+	for i, e := range f.Events {
+		kind, err := lookup(faultKinds, fmt.Sprintf("faults.events[%d].kind", i), "fault kind", e.Kind, knownFaults)
+		if err != nil {
+			return err
+		}
+		cfg.Faults.Events = append(cfg.Faults.Events, fault.Event{
+			Device:   e.Device,
+			Kind:     kind,
+			At:       e.At.Std(),
+			Duration: e.Duration.Std(),
+			Factor:   e.Factor,
+			Count:    e.Count,
+		})
+	}
+	for i, pr := range f.Processes {
+		kinds := make([]fault.Kind, len(pr.Kinds))
+		for j, k := range pr.Kinds {
+			var err error
+			if kinds[j], err = lookup(faultKinds, fmt.Sprintf("faults.processes[%d].kinds[%d]", i, j), "fault kind", k, knownFaults); err != nil {
+				return err
+			}
+		}
+		cfg.Faults.Processes = append(cfg.Faults.Processes, fault.Process{
+			Devices: pr.Devices,
+			Kinds:   kinds,
+			Rate:    pr.Rate,
+			Start:   pr.Start.Std(),
+			End:     pr.End.Std(),
+			Factor:  pr.Factor,
+			Window:  pr.Window.Std(),
+		})
+	}
+	return nil
 }
 
 // structureGraph builds a throwaway copy of the workload network for
@@ -182,144 +388,12 @@ func resolveCuts(cuts []Cut, network string) ([]int, error) {
 // pipeline.Config ready for pipeline.NewFromConfig. Reloads are not
 // part of the config — Run schedules them onto the built session.
 func (sc *Scenario) Compile() (pipeline.Config, error) {
-	fail := func(err error) (pipeline.Config, error) {
-		return pipeline.Config{}, fmt.Errorf("scenario %s: %v", sc.errLabel(), err)
+	cfg, err := sc.lower()
+	if err == nil {
+		cfg.Cuts, err = resolveCuts(sc.Fleet.Cuts, sc.Network)
 	}
-	if err := sc.Validate(); err != nil {
-		return fail(err)
-	}
-	cfg := pipeline.Config{
-		Seed:    sc.Seed,
-		NetSeed: sc.NetSeed,
-		Images:  sc.Images,
-		SLO:     sc.SLO.Std(),
-	}
-	switch sc.Network {
-	case "googlenet":
-		cfg.Network = pipeline.NetGoogLeNet
-	case "micro":
-		cfg.Network = pipeline.NetMicro
-	}
-	if d := sc.Dataset; d != nil {
-		dc := imagenet.DefaultConfig()
-		if d.Images > 0 {
-			dc.Images = d.Images
-		}
-		if d.Classes > 0 {
-			dc.Classes = d.Classes
-		}
-		if d.Subsets > 0 {
-			dc.Subsets = d.Subsets
-		}
-		if d.Size > 0 {
-			dc.Size = d.Size
-		}
-		if d.Seed != 0 {
-			dc.Seed = d.Seed
-		}
-		cfg.Dataset = dc
-	}
-	for _, g := range sc.Fleet.Groups {
-		cfg.Groups = append(cfg.Groups, compileGroup(g))
-	}
-	for _, s := range sc.Fleet.Stages {
-		cfg.Stages = append(cfg.Stages, pipeline.Stage{
-			Group:    compileGroup(s.GroupSpec),
-			Queue:    s.Queue,
-			Replicas: s.Replicas,
-		})
-	}
-	cuts, err := resolveCuts(sc.Fleet.Cuts, sc.Network)
 	if err != nil {
-		return fail(err)
-	}
-	cfg.Cuts = cuts
-	cfg.Routing = compileRouting(sc.Fleet.Routing)
-	cfg.QueueDepth = sc.Fleet.QueueDepth
-	if t := sc.Traffic; t != nil {
-		if t.Arrivals != nil {
-			cfg.Arrivals = compileArrivals(t.Arrivals)
-			cfg.ArrivalLabel = t.ArrivalLabel
-		}
-		if ts := t.Tenants; ts != nil {
-			tc := tenant.Config{
-				Scheduler:      compileScheduler(ts.Scheduler),
-				SharedDepth:    ts.SharedDepth,
-				SharedOverload: compilePolicy(ts.SharedOverload),
-			}
-			for _, tn := range ts.Tenants {
-				tc.Tenants = append(tc.Tenants, tenant.Tenant{
-					ID:          tn.ID,
-					Weight:      tn.Weight,
-					Priority:    tn.Priority,
-					SLO:         tn.SLO.Std(),
-					Arrivals:    compileArrivals(tn.Arrivals),
-					QueueDepth:  tn.QueueDepth,
-					Overload:    compilePolicy(tn.Overload),
-					MaxInFlight: tn.MaxInFlight,
-					RatePerSec:  tn.RatePerSec,
-					Burst:       tn.Burst,
-				})
-			}
-			cfg.Tenants = tc
-		}
-	}
-	if ad := sc.Admission; ad != nil {
-		cfg.AdmissionDepth = ad.Depth
-		cfg.AdmissionPolicy = compilePolicy(ad.Policy)
-		cfg.AdmissionShrink = ad.Shrink
-		cfg.AdmissionMinDepth = ad.MinDepth
-	}
-	if h := sc.Hedge; h != nil {
-		cfg.Hedge = core.HedgeConfig{
-			Trigger:       h.Trigger.Std(),
-			Quantile:      h.Quantile,
-			MinSamples:    h.MinSamples,
-			Budget:        h.Budget,
-			DynamicBudget: h.Dynamic,
-		}
-	}
-	if b := sc.Batching; b != nil {
-		cfg.BatchMaxWait = b.MaxWait.Std()
-		cfg.AdaptiveBatch = b.Adaptive
-	}
-	if f := sc.Faults; f != nil {
-		for _, e := range f.Events {
-			cfg.Faults.Events = append(cfg.Faults.Events, fault.Event{
-				Device:   e.Device,
-				Kind:     compileFaultKind(e.Kind),
-				At:       e.At.Std(),
-				Duration: e.Duration.Std(),
-				Factor:   e.Factor,
-				Count:    e.Count,
-			})
-		}
-		for _, pr := range f.Processes {
-			kinds := make([]fault.Kind, len(pr.Kinds))
-			for i, k := range pr.Kinds {
-				kinds[i] = compileFaultKind(k)
-			}
-			cfg.Faults.Processes = append(cfg.Faults.Processes, fault.Process{
-				Devices: pr.Devices,
-				Kinds:   kinds,
-				Rate:    pr.Rate,
-				Start:   pr.Start.Std(),
-				End:     pr.End.Std(),
-				Factor:  pr.Factor,
-				Window:  pr.Window.Std(),
-			})
-		}
-	}
-	if r := sc.Recovery; r != nil {
-		rc := core.RecoveryConfig{
-			Timeout:     r.Timeout.Std(),
-			Recover:     true,
-			MaxAttempts: r.MaxAttempts,
-		}
-		if r.Recover != nil {
-			rc.Recover = *r.Recover
-		}
-		cfg.Recovery = rc
+		return pipeline.Config{}, fmt.Errorf("scenario %s: %v", sc.errLabel(), err)
 	}
 	return cfg, nil
 }

@@ -9,9 +9,10 @@ import (
 
 // FuzzParse throws arbitrary bytes at the strict parser: whatever the
 // input, Parse must never panic, and every rejection must name the
-// file. When parsing succeeds, compilation of cut-free scenarios must
-// not panic either (cut resolution builds a network per call, too
-// slow for the fuzz loop).
+// file. When parsing succeeds, a cut-free scenario must compile, and
+// its config must pass pipeline.Config.Validate — so NewFromConfig
+// cannot reject what Parse accepted (cut resolution builds a network
+// per call, too slow for the fuzz loop).
 func FuzzParse(f *testing.F) {
 	seeds := []string{
 		minimal,
@@ -43,6 +44,20 @@ func FuzzParse(f *testing.F) {
 		`{"name":"t","network":"googlenet","fleet":{
 			"stages":[{"kind":"vpu","devices":2},{"kind":"gpu","batch":4}],
 			"cuts":["inception_4e/output"]}}`,
+		`{"name":"t","fleet":{"groups":[{"kind":"cpu"}]},
+			"traffic":{"tenants":{"tenants":[
+				{"id":"a","arrivals":{"process":"poisson","rate":5}},
+				{"id":"a","arrivals":{"process":"poisson","rate":5}}]}}}`,
+		`{"name":"t","fleet":{"groups":[{"kind":"cpu"}]},"hedge":{"trigger":100}}`,
+		`{"name":"t","fleet":{"groups":[{"kind":"cpu"},{"kind":"gpu"}],"routing":"work-stealing"},
+			"hedge":{"trigger":100}}`,
+		`{"name":"t","network":"googlenet",
+			"fleet":{"stages":[{"kind":"vpu","devices":2},{"kind":"gpu","batch":4}],"cuts":[38]},
+			"hedge":{"trigger":100}}`,
+		`{"name":"t","fleet":{"groups":[{"kind":"cpu"}]},
+			"traffic":{"arrivals":{"process":"phased","phases":[
+				{"process":"poisson","rate":5,"duration":1000,
+				 "phases":[{"process":"poisson","rate":5,"duration":1000}]}]}}}`,
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))
@@ -69,8 +84,12 @@ func FuzzParse(f *testing.F) {
 			return
 		}
 		if len(sc.Fleet.Cuts) == 0 {
-			if _, err := sc.Compile(); err != nil {
+			cfg, err := sc.Compile()
+			if err != nil {
 				t.Fatalf("validated cut-free scenario failed to compile: %v", err)
+			}
+			if err := cfg.Validate(); err != nil {
+				t.Fatalf("compiled config fails pipeline.Config.Validate: %v", err)
 			}
 		}
 	})

@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"time"
@@ -389,115 +390,62 @@ type Scenario struct {
 	src string
 }
 
-// field is one node of the strict-parsing schema: the set of known
-// JSON keys at that nesting level. A nil child is a scalar (or an
-// array of scalars); a non-nil child applies to an object value or to
-// every element of an array value.
-type field map[string]field
+// schema is one level of the strict-parsing schema: the JSON keys
+// known at that nesting level. A nil child is a leaf; a non-nil child
+// applies to an object value or to every element of an array value.
+type schema map[string]schema
 
-func arrivalFields(top bool) field {
-	f := field{
-		"process":  nil,
-		"rate":     nil,
-		"on":       nil,
-		"off":      nil,
-		"instants": nil,
-		"delay":    nil,
+// scenarioSchema is derived from the json tags of Scenario, so Parse
+// knows exactly the keys encoding/json decodes.
+var scenarioSchema = schemaOf(reflect.TypeOf(Scenario{}), map[reflect.Type]schema{})
+
+var unmarshalerType = reflect.TypeOf((*json.Unmarshaler)(nil)).Elem()
+
+// schemaOf derives the schema of a decoded type. Pointers and slices
+// take their element's schema; structs are objects keyed by their json
+// tags; scalars and json.Unmarshaler types (Duration, Cut) are leaves.
+// seen maps each struct to its schema as soon as it is created, which
+// ends the recursion ArrivalSpec -> []PhaseSpec -> ArrivalSpec.
+func schemaOf(t reflect.Type, seen map[reflect.Type]schema) schema {
+	for t.Kind() == reflect.Pointer || t.Kind() == reflect.Slice {
+		t = t.Elem()
 	}
-	if top {
-		f["cycle"] = nil
-		ph := arrivalFields(false)
-		ph["duration"] = nil
-		f["phases"] = ph
+	if t.Kind() != reflect.Struct || reflect.PointerTo(t).Implements(unmarshalerType) {
+		return nil
 	}
-	return f
+	if sc, ok := seen[t]; ok {
+		return sc
+	}
+	sc := schema{}
+	seen[t] = sc
+	addFields(sc, t, seen)
+	return sc
 }
 
-func groupFields(stage bool) field {
-	f := field{
-		"kind":       nil,
-		"batch":      nil,
-		"devices":    nil,
-		"weight":     nil,
-		"seed_label": nil,
+// addFields adds the keys of struct t to sc the way encoding/json
+// decodes them: embedded structs are flattened, and fields tagged
+// json:"-" or unexported are skipped.
+func addFields(sc schema, t reflect.Type, seen map[reflect.Type]schema) {
+	for i := 0; i < t.NumField(); i++ {
+		f := t.Field(i)
+		name, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+		switch {
+		case !f.IsExported() || name == "-":
+		case f.Anonymous && name == "":
+			addFields(sc, f.Type, seen)
+		default:
+			if name == "" {
+				name = f.Name
+			}
+			sc[name] = schemaOf(f.Type, seen)
+		}
 	}
-	if stage {
-		f["replicas"] = nil
-		f["queue"] = nil
-	}
-	return f
-}
-
-// rootSchema is the full scenario schema, used to reject unknown
-// fields with an exact path before typed decoding.
-var rootSchema = field{
-	"name":        nil,
-	"description": nil,
-	"seed":        nil,
-	"net_seed":    nil,
-	"images":      nil,
-	"network":     nil,
-	"dataset": field{
-		"images": nil, "classes": nil, "subsets": nil, "size": nil, "seed": nil,
-	},
-	"fleet": field{
-		"groups":      groupFields(false),
-		"stages":      groupFields(true),
-		"cuts":        nil,
-		"routing":     nil,
-		"queue_depth": nil,
-	},
-	"traffic": field{
-		"arrivals":      arrivalFields(true),
-		"arrival_label": nil,
-		"tenants": field{
-			"scheduler":       nil,
-			"shared_depth":    nil,
-			"shared_overload": nil,
-			"tenants": field{
-				"id":            nil,
-				"weight":        nil,
-				"priority":      nil,
-				"slo":           nil,
-				"arrivals":      arrivalFields(true),
-				"queue_depth":   nil,
-				"overload":      nil,
-				"max_in_flight": nil,
-				"rate_per_sec":  nil,
-				"burst":         nil,
-			},
-		},
-	},
-	"slo": nil,
-	"admission": field{
-		"depth": nil, "policy": nil, "shrink": nil, "min_depth": nil,
-	},
-	"hedge": field{
-		"trigger": nil, "quantile": nil, "min_samples": nil, "budget": nil, "dynamic": nil,
-	},
-	"batching": field{
-		"max_wait": nil, "adaptive": nil,
-	},
-	"faults": field{
-		"events": field{
-			"device": nil, "kind": nil, "at": nil, "duration": nil, "factor": nil, "count": nil,
-		},
-		"processes": field{
-			"devices": nil, "kinds": nil, "rate": nil, "start": nil, "end": nil, "factor": nil, "window": nil,
-		},
-	},
-	"recovery": field{
-		"timeout": nil, "recover": nil, "max_attempts": nil,
-	},
-	"reloads": field{
-		"at": nil, "slo": nil, "hedge_budget": nil, "admission_depth": nil,
-	},
 }
 
 // checkFields walks the generically-decoded document against the
 // schema and rejects the first unknown key, carrying its full path.
 // Keys are visited in sorted order so the error is deterministic.
-func checkFields(path string, v any, sc field) error {
+func checkFields(path string, v any, sc schema) error {
 	switch val := v.(type) {
 	case map[string]any:
 		keys := make([]string, 0, len(val))
@@ -559,7 +507,7 @@ func Parse(data []byte, name string) (*Scenario, error) {
 	if !ok {
 		return nil, fail("top level must be a JSON object")
 	}
-	if err := checkFields("", obj, rootSchema); err != nil {
+	if err := checkFields("", obj, scenarioSchema); err != nil {
 		return nil, fail("%v", err)
 	}
 	var sc Scenario

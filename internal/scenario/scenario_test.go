@@ -30,9 +30,10 @@ func parseCompile(src string) error {
 // field path.
 func TestValidationRules(t *testing.T) {
 	cases := []struct {
-		name string
-		src  string
-		want string // substring of the error
+		name  string
+		src   string
+		want  string // substring of the error
+		parse bool   // must be rejected by Parse, before any network is built
 	}{
 		{
 			name: "unknown device kind",
@@ -77,6 +78,11 @@ func TestValidationRules(t *testing.T) {
 			name: "unknown top-level field",
 			src:  `{"name":"t","fleet":{"groups":[{"kind":"cpu"}]},"floot":{}}`,
 			want: "floot: unknown field",
+		},
+		{
+			name: "field tagged json:\"-\" is not a key",
+			src:  `{"name":"t","fleet":{"groups":[{"kind":"cpu"}]},"File":"x.json"}`,
+			want: "File: unknown field",
 		},
 		{
 			name: "reload sets no knob",
@@ -198,11 +204,58 @@ func TestValidationRules(t *testing.T) {
 			src:  `{"name":"t","fleet":{}}`,
 			want: "fleet: needs groups or stages",
 		},
+		// Rules owned by tenant, pipeline and core that the scenario
+		// layer once missed: each used to pass Parse and Compile and
+		// fail only inside Run.
+		{
+			name: "duplicate tenant IDs",
+			src: `{"name":"t","fleet":{"groups":[{"kind":"cpu"}]},
+				"traffic":{"tenants":{"tenants":[
+					{"id":"a","arrivals":{"process":"poisson","rate":5}},
+					{"id":"a","arrivals":{"process":"poisson","rate":5}}]}}}`,
+			want:  `traffic.tenants.tenants[1].id: duplicate tenant "a"`,
+			parse: true,
+		},
+		{
+			name:  "hedge on a single CPU group",
+			src:   `{"name":"t","fleet":{"groups":[{"kind":"cpu"}]},"hedge":{"trigger":100}}`,
+			want:  "hedge: hedging a single group needs a multi-stick VPU group",
+			parse: true,
+		},
+		{
+			name: "hedge with work-stealing routing",
+			src: `{"name":"t","fleet":{"groups":[{"kind":"cpu"},{"kind":"gpu"}],"routing":"work-stealing"},
+				"hedge":{"trigger":100}}`,
+			want:  "hedge: hedging needs per-group feeds",
+			parse: true,
+		},
+		{
+			name: "hedge on pipeline stages",
+			src: `{"name":"t","network":"googlenet",
+				"fleet":{"stages":[{"kind":"vpu","devices":2},{"kind":"gpu","batch":4}],"cuts":[38]},
+				"hedge":{"trigger":100}}`,
+			want:  "hedge: hedging duplicates whole inferences across groups",
+			parse: true,
+		},
+		{
+			name: "phases inside a poisson phase",
+			src: `{"name":"t","fleet":{"groups":[{"kind":"cpu"}]},
+				"traffic":{"arrivals":{"process":"phased","phases":[
+					{"process":"poisson","rate":5,"duration":1000,
+					 "phases":[{"process":"poisson","rate":5,"duration":1000}]}]}}}`,
+			want:  "traffic.arrivals.phases[0].phases: only meaningful with a phased process",
+			parse: true,
+		},
 	}
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			err := parseCompile(tc.src)
+			var err error
+			if tc.parse {
+				_, err = Parse([]byte(tc.src), "test.json")
+			} else {
+				err = parseCompile(tc.src)
+			}
 			if err == nil {
 				t.Fatalf("want error containing %q, got nil", tc.want)
 			}

@@ -1,35 +1,57 @@
 package scenario
 
 import (
+	"errors"
 	"fmt"
-	"math"
-	"time"
+	"strings"
+
+	"repro/internal/core"
+	"repro/internal/fault"
+	"repro/internal/pipeline"
+	"repro/internal/tenant"
 )
 
 // Validation: every rule failure is an error whose message begins
 // with the JSON field path of the offending value ("fleet.groups[0]
 // .kind: ..."), so a scenario author can fix a file from the error
-// alone. Parse wraps these with the file name. Cut names are the one
-// thing validated later — they need the workload network, so Compile
+// alone. Parse wraps these with the file name.
+//
+// This package checks only the rules that exist because the input is
+// JSON: required keys, enum spellings, which sections may appear
+// together, and what a reload may target. Every range or cross-field
+// rule belongs to the package that owns the value — the core arrival
+// checks, tenant.Config.Validate, fault.Plan.Validate,
+// core.HedgeConfig.Validate, all reached through
+// pipeline.Config.Validate — and is checked by lowering the scenario
+// and calling that owner, whose error names the offending config key;
+// rekey turns the key into the JSON path. Cut names are the one thing
+// validated later — they need the workload network, so Compile
 // resolves and checks them.
 
 func pathErr(path, format string, args ...any) error {
 	return fmt.Errorf("%s: %s", path, fmt.Sprintf(format, args...))
 }
 
-func finitePositive(v float64) bool {
-	return v > 0 && !math.IsInf(v, 1) && !math.IsNaN(v)
-}
+// The enum tables map each accepted spelling onto its typed constant;
+// the known* strings list the spellings for error messages.
+var (
+	kinds    = map[string]pipeline.GroupKind{"cpu": pipeline.GroupCPU, "gpu": pipeline.GroupGPU, "vpu": pipeline.GroupVPU}
+	networks = map[string]pipeline.NetworkKind{"": pipeline.NetAuto, "auto": pipeline.NetAuto,
+		"googlenet": pipeline.NetGoogLeNet, "micro": pipeline.NetMicro}
+	routings = map[string]core.Routing{"": core.RouteWeighted, "throughput-weighted": core.RouteWeighted,
+		"static-split": core.RouteStatic, "round-robin": core.RouteRoundRobin,
+		"work-stealing": core.RouteWorkStealing, "latency-ewma": core.RouteLatency}
+	policies = map[string]core.OverloadPolicy{"": core.ShedNewest, "shed-newest": core.ShedNewest,
+		"shed-oldest": core.ShedOldest, "block": core.Block}
+	schedulers = map[string]tenant.Scheduler{"": tenant.FIFO, "fifo": tenant.FIFO,
+		"fair": tenant.WeightedFair, "weighted-fair": tenant.WeightedFair, "priority": tenant.Priority}
+	faultKinds = map[string]fault.Kind{"hang": fault.StickHang, "link-drop": fault.LinkDrop,
+		"transient": fault.TransientError, "slowdown": fault.Slowdown, "batch-oom": fault.BatchOOM}
+)
 
-func finiteNonNegative(v float64) bool {
-	return v >= 0 && !math.IsInf(v, 1) && !math.IsNaN(v)
-}
-
-// knownKinds, knownRoutings, knownPolicies and knownSchedulers are
-// the accepted enum spellings; the compile helpers map them onto the
-// typed constants.
 const (
 	knownKinds      = "cpu, gpu or vpu"
+	knownNetworks   = "auto, googlenet or micro"
 	knownRoutings   = "throughput-weighted, static-split, round-robin, work-stealing or latency-ewma"
 	knownPolicies   = "shed-newest, shed-oldest or block"
 	knownSchedulers = "fifo, weighted-fair or priority"
@@ -37,411 +59,80 @@ const (
 	knownProcesses  = "deterministic, poisson, bursty, trace or phased"
 )
 
-func validKind(k string) bool {
-	return k == "cpu" || k == "gpu" || k == "vpu"
-}
-
-func validRouting(r string) bool {
-	switch r {
-	case "", "throughput-weighted", "static-split", "round-robin", "work-stealing", "latency-ewma":
-		return true
+// lookup resolves an enum spelling through its table.
+func lookup[T any](table map[string]T, path, what, v, known string) (T, error) {
+	t, ok := table[v]
+	if !ok {
+		return t, pathErr(path, "unknown %s %q (want %s)", what, v, known)
 	}
-	return false
+	return t, nil
 }
 
-func validPolicy(p string) bool {
-	return p == "" || p == "shed-newest" || p == "shed-oldest" || p == "block"
+// sectionOf maps a pipeline.Config key onto the JSON path that
+// declares it; keys absent here are spelled the same in both.
+var sectionOf = map[string]string{
+	"groups":              "fleet.groups",
+	"stages":              "fleet.stages",
+	"cuts":                "fleet.cuts",
+	"queue_depth":         "fleet.queue_depth",
+	"tenants":             "traffic.tenants",
+	"admission_depth":     "admission.depth",
+	"admission_min_depth": "admission.min_depth",
+	"batch_max_wait":      "batching.max_wait",
 }
 
-func validScheduler(s string) bool {
-	return s == "" || s == "fifo" || s == "fair" || s == "weighted-fair" || s == "priority"
-}
-
-func validFaultKind(k string) bool {
-	switch k {
-	case "hang", "link-drop", "transient", "slowdown", "batch-oom":
-		return true
+// rekey rewrites the leading config key of an owner's error ("groups"
+// in "groups[1].batch: ...") onto its JSON path.
+func rekey(err error, paths map[string]string) error {
+	msg := err.Error()
+	end := strings.IndexAny(msg, ".[:")
+	if end < 0 {
+		return err
 	}
-	return false
+	if p, ok := paths[msg[:end]]; ok {
+		return errors.New(p + msg[end:])
+	}
+	return err
 }
 
-// Validate checks every semantic rule a scenario must satisfy before
+// Validate checks every rule a scenario must satisfy before
 // compilation; the returned error names the offending field path.
 func (sc *Scenario) Validate() error {
-	if sc.Name == "" {
-		return pathErr("name", "required (a scenario must name itself)")
-	}
-	if sc.Images < 0 {
-		return pathErr("images", "negative image count %d", sc.Images)
-	}
-	switch sc.Network {
-	case "", "auto", "googlenet", "micro":
-	default:
-		return pathErr("network", "unknown network %q (want auto, googlenet or micro)", sc.Network)
-	}
-	if d := sc.Dataset; d != nil {
-		if d.Images < 0 || d.Classes < 0 || d.Subsets < 0 || d.Size < 0 {
-			return pathErr("dataset", "negative dataset parameter")
-		}
-	}
-	if err := sc.validateFleet(); err != nil {
-		return err
-	}
-	if err := sc.validateTraffic(); err != nil {
-		return err
-	}
-	if sc.SLO < 0 {
-		return pathErr("slo", "negative deadline %v", sc.SLO.Std())
-	}
-	if err := sc.validateKnobs(); err != nil {
-		return err
-	}
-	if err := sc.validateFaults(); err != nil {
-		return err
-	}
-	if err := sc.validateReloads(); err != nil {
-		return err
-	}
-	return nil
+	_, err := sc.lower()
+	return err
 }
 
-func (sc *Scenario) validateFleet() error {
-	f := &sc.Fleet
-	if len(f.Groups) == 0 && len(f.Stages) == 0 {
-		return pathErr("fleet", "needs groups or stages")
-	}
-	if len(f.Groups) > 0 && len(f.Stages) > 0 {
-		return pathErr("fleet", "groups and stages are mutually exclusive")
-	}
-	for i, g := range f.Groups {
-		if err := validateGroup(fmt.Sprintf("fleet.groups[%d]", i), g); err != nil {
-			return err
-		}
-	}
-	for i, s := range f.Stages {
-		p := fmt.Sprintf("fleet.stages[%d]", i)
-		if err := validateGroup(p, s.GroupSpec); err != nil {
-			return err
-		}
-		if s.Replicas < 0 {
-			return pathErr(p+".replicas", "negative replica count %d", s.Replicas)
-		}
-		if s.Queue < 0 {
-			return pathErr(p+".queue", "negative queue bound %d", s.Queue)
-		}
-	}
-	if len(f.Cuts) > 0 && len(f.Stages) == 0 {
-		return pathErr("fleet.cuts", "cuts need stages")
-	}
-	if len(f.Stages) > 0 && len(f.Cuts) != len(f.Stages)-1 {
-		return pathErr("fleet.cuts", "%d cuts for %d stages (need stages-1)", len(f.Cuts), len(f.Stages))
-	}
-	if !validRouting(f.Routing) {
-		return pathErr("fleet.routing", "unknown routing %q (want %s)", f.Routing, knownRoutings)
-	}
-	if f.QueueDepth < 0 {
-		return pathErr("fleet.queue_depth", "negative queue depth %d", f.QueueDepth)
-	}
-	return nil
-}
-
-func validateGroup(path string, g GroupSpec) error {
-	if !validKind(g.Kind) {
-		return pathErr(path+".kind", "unknown device kind %q (want %s)", g.Kind, knownKinds)
-	}
-	if g.Batch < 0 {
-		return pathErr(path+".batch", "negative batch size %d", g.Batch)
-	}
-	if g.Devices < 0 {
-		return pathErr(path+".devices", "negative device count %d", g.Devices)
-	}
-	if !finiteNonNegative(g.Weight) {
-		return pathErr(path+".weight", "weight %g (need finite >= 0)", g.Weight)
-	}
-	return nil
-}
-
-func (sc *Scenario) validateTraffic() error {
-	t := sc.Traffic
-	if t == nil {
-		return nil
-	}
-	if t.Arrivals != nil && t.Tenants != nil {
-		return pathErr("traffic", "arrivals and tenants are mutually exclusive (tenant lanes carry their own arrival processes)")
-	}
-	if t.ArrivalLabel != "" && t.Arrivals == nil {
-		return pathErr("traffic.arrival_label", "needs traffic.arrivals")
-	}
-	if t.Arrivals != nil {
-		if err := validateArrival("traffic.arrivals", t.Arrivals, false); err != nil {
-			return err
-		}
-	}
-	if ts := t.Tenants; ts != nil {
-		if !validScheduler(ts.Scheduler) {
-			return pathErr("traffic.tenants.scheduler", "unknown scheduler %q (want %s)", ts.Scheduler, knownSchedulers)
-		}
-		if ts.SharedDepth < 0 {
-			return pathErr("traffic.tenants.shared_depth", "negative depth %d", ts.SharedDepth)
-		}
-		if !validPolicy(ts.SharedOverload) {
-			return pathErr("traffic.tenants.shared_overload", "unknown overload policy %q (want %s)", ts.SharedOverload, knownPolicies)
-		}
-		if len(ts.Tenants) == 0 {
-			return pathErr("traffic.tenants.tenants", "need at least one tenant")
-		}
-		for i, tn := range ts.Tenants {
-			if err := validateTenant(fmt.Sprintf("traffic.tenants.tenants[%d]", i), tn); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-func validateTenant(path string, t TenantSpec) error {
-	if t.ID == "" {
-		return pathErr(path+".id", "required")
-	}
-	if !finiteNonNegative(t.Weight) {
-		return pathErr(path+".weight", "weight %g (need finite >= 0)", t.Weight)
-	}
-	if t.SLO < 0 {
-		return pathErr(path+".slo", "negative deadline %v", t.SLO.Std())
-	}
-	if t.Arrivals == nil {
-		return pathErr(path+".arrivals", "required (every tenant drives its own traffic)")
-	}
-	if err := validateArrival(path+".arrivals", t.Arrivals, false); err != nil {
-		return err
-	}
-	if t.QueueDepth < 0 {
-		return pathErr(path+".queue_depth", "negative depth %d", t.QueueDepth)
-	}
-	if !validPolicy(t.Overload) {
-		return pathErr(path+".overload", "unknown overload policy %q (want %s)", t.Overload, knownPolicies)
-	}
-	if t.MaxInFlight < 0 {
-		return pathErr(path+".max_in_flight", "negative quota %d", t.MaxInFlight)
-	}
-	if !finiteNonNegative(t.RatePerSec) {
-		return pathErr(path+".rate_per_sec", "rate quota %g (need finite >= 0)", t.RatePerSec)
-	}
-	if t.Burst < 0 {
-		return pathErr(path+".burst", "negative burst %d", t.Burst)
-	}
-	return nil
-}
-
-// validateArrival checks one arrival spec; the checks mirror the
-// constructor preconditions in internal/core exactly, so a validated
-// spec can never panic a constructor. nested marks a phase of a
-// phased schedule, where "silence" is legal and "phased" is not.
-func validateArrival(path string, a *ArrivalSpec, nested bool) error {
-	switch a.Process {
-	case "deterministic", "poisson":
-		if !finitePositive(a.Rate) {
-			return pathErr(path+".rate", "arrival rate %g (need positive finite)", a.Rate)
-		}
-	case "bursty":
-		if !finitePositive(a.Rate) {
-			return pathErr(path+".rate", "arrival rate %g (need positive finite)", a.Rate)
-		}
-		if a.On <= 0 {
-			return pathErr(path+".on", "on-phase %v (need > 0)", a.On.Std())
-		}
-		if a.Off < 0 {
-			return pathErr(path+".off", "negative off-phase %v", a.Off.Std())
-		}
-		if period := time.Duration(float64(time.Second) / a.Rate); a.On.Std() < period {
-			return pathErr(path+".on", "on-phase %v holds no arrivals at %g/s (period %v)", a.On.Std(), a.Rate, period)
-		}
-	case "trace":
-		if len(a.Instants) == 0 {
-			return pathErr(path+".instants", "empty trace")
-		}
-		for i, ins := range a.Instants {
-			if ins < 0 {
-				return pathErr(fmt.Sprintf("%s.instants[%d]", path, i), "negative instant %v", ins.Std())
-			}
-		}
-	case "phased":
-		if nested {
-			return pathErr(path+".process", "phased schedules cannot nest")
-		}
-		if len(a.Phases) == 0 {
-			return pathErr(path+".phases", "need at least one phase")
-		}
-		silent := true
-		for i, ph := range a.Phases {
-			p := fmt.Sprintf("%s.phases[%d]", path, i)
-			if ph.Duration <= 0 {
-				return pathErr(p+".duration", "phase duration %v (need > 0)", ph.Duration.Std())
-			}
-			if ph.Process != "silence" {
-				silent = false
-			}
-			if err := validateArrival(p, &ph.ArrivalSpec, true); err != nil {
-				return err
-			}
-		}
-		if silent {
-			return pathErr(path+".phases", "every phase silent")
-		}
-	case "silence":
-		if !nested {
-			return pathErr(path+".process", "silence is only meaningful as a phase of a phased schedule")
-		}
-	default:
-		return pathErr(path+".process", "unknown arrival process %q (want %s)", a.Process, knownProcesses)
-	}
-	if a.Cycle && a.Process != "phased" {
-		return pathErr(path+".cycle", "only meaningful with a phased process")
-	}
-	if a.Delay < 0 {
-		return pathErr(path+".delay", "negative delay %v", a.Delay.Std())
-	}
-	return nil
-}
-
-func (sc *Scenario) validateKnobs() error {
-	if ad := sc.Admission; ad != nil {
-		if ad.Depth < 1 {
-			return pathErr("admission.depth", "depth %d (need >= 1)", ad.Depth)
-		}
-		if !validPolicy(ad.Policy) {
-			return pathErr("admission.policy", "unknown overload policy %q (want %s)", ad.Policy, knownPolicies)
-		}
-		if ad.MinDepth < 0 {
-			return pathErr("admission.min_depth", "negative floor %d", ad.MinDepth)
-		}
-		if sc.Traffic == nil || sc.Traffic.Arrivals == nil {
-			return pathErr("admission", "needs traffic.arrivals (a bounded ingress is only meaningful against offered load)")
-		}
-	}
-	if h := sc.Hedge; h != nil {
-		if h.Trigger < 0 {
-			return pathErr("hedge.trigger", "negative trigger %v", h.Trigger.Std())
-		}
-		if h.Quantile < 0 || h.Quantile >= 1 {
-			return pathErr("hedge.quantile", "quantile %g (need 0 <= q < 1)", h.Quantile)
-		}
-		if h.Trigger == 0 && h.Quantile == 0 {
-			return pathErr("hedge", "needs a trigger or a quantile")
-		}
-		if h.MinSamples < 0 {
-			return pathErr("hedge.min_samples", "negative warmup %d", h.MinSamples)
-		}
-		if !finiteNonNegative(h.Budget) {
-			return pathErr("hedge.budget", "budget %g (need finite >= 0)", h.Budget)
-		}
-		if h.Dynamic && h.Budget == 0 {
-			return pathErr("hedge.dynamic", "needs a positive budget")
-		}
-	}
-	if b := sc.Batching; b != nil {
-		if b.MaxWait < 0 {
-			return pathErr("batching.max_wait", "negative wait %v", b.MaxWait.Std())
-		}
-	}
-	if r := sc.Recovery; r != nil {
-		if r.Timeout <= 0 {
-			return pathErr("recovery.timeout", "heartbeat %v (need > 0)", r.Timeout.Std())
-		}
-		if r.MaxAttempts < 0 {
-			return pathErr("recovery.max_attempts", "negative budget %d", r.MaxAttempts)
-		}
-	}
-	return nil
-}
-
-func (sc *Scenario) validateFaults() error {
-	f := sc.Faults
-	if f == nil {
-		return nil
-	}
-	for i, e := range f.Events {
-		p := fmt.Sprintf("faults.events[%d]", i)
-		if e.Device == "" {
-			return pathErr(p+".device", "required")
-		}
-		if !validFaultKind(e.Kind) {
-			return pathErr(p+".kind", "unknown fault kind %q (want %s)", e.Kind, knownFaults)
-		}
-		if e.At < 0 {
-			return pathErr(p+".at", "negative instant %v", e.At.Std())
-		}
-		if e.Kind == "slowdown" {
-			if e.Factor <= 1 || math.IsInf(e.Factor, 1) || math.IsNaN(e.Factor) {
-				return pathErr(p+".factor", "slowdown factor %g (need finite > 1)", e.Factor)
-			}
-			if e.Duration <= 0 {
-				return pathErr(p+".duration", "slowdown window %v (need > 0)", e.Duration.Std())
-			}
-		}
-		if e.Count < 0 {
-			return pathErr(p+".count", "negative count %d", e.Count)
-		}
-	}
-	for i, pr := range f.Processes {
-		p := fmt.Sprintf("faults.processes[%d]", i)
-		if len(pr.Devices) == 0 {
-			return pathErr(p+".devices", "required")
-		}
-		if len(pr.Kinds) == 0 {
-			return pathErr(p+".kinds", "required")
-		}
-		for j, k := range pr.Kinds {
-			if !validFaultKind(k) {
-				return pathErr(fmt.Sprintf("%s.kinds[%d]", p, j), "unknown fault kind %q (want %s)", k, knownFaults)
-			}
-		}
-		if !finitePositive(pr.Rate) {
-			return pathErr(p+".rate", "fault rate %g (need positive finite)", pr.Rate)
-		}
-		if pr.Start < 0 {
-			return pathErr(p+".start", "negative instant %v", pr.Start.Std())
-		}
-		if pr.End <= pr.Start {
-			return pathErr(p+".end", "window end %v at or before start %v", pr.End.Std(), pr.Start.Std())
-		}
-		if pr.Factor != 0 && (pr.Factor <= 1 || math.IsInf(pr.Factor, 1) || math.IsNaN(pr.Factor)) {
-			return pathErr(p+".factor", "slowdown factor %g (need finite > 1)", pr.Factor)
-		}
-		if pr.Window < 0 {
-			return pathErr(p+".window", "negative window %v", pr.Window.Std())
-		}
-	}
-	return nil
-}
-
-func (sc *Scenario) validateReloads() error {
+// checkReloads checks each scheduled reload against the lowered
+// config: what it may target here, its values by the owners the
+// session's Reload* methods call.
+func (sc *Scenario) checkReloads(cfg pipeline.Config) error {
 	for i, rl := range sc.Reloads {
 		p := fmt.Sprintf("reloads[%d]", i)
-		if rl.At < 0 {
+		switch {
+		case rl.At < 0:
 			return pathErr(p+".at", "negative instant %v", rl.At.Std())
-		}
-		if rl.SLO == nil && rl.HedgeBudget == nil && rl.AdmissionDepth == nil {
+		case rl.SLO == nil && rl.HedgeBudget == nil && rl.AdmissionDepth == nil:
 			return pathErr(p, "reload sets no knob (want slo, hedge_budget or admission_depth)")
+		case rl.HedgeBudget != nil && sc.Hedge == nil:
+			return pathErr(p+".hedge_budget", "needs a hedge section (hedging cannot be turned on mid-run)")
+		case rl.AdmissionDepth != nil && sc.Admission == nil:
+			return pathErr(p+".admission_depth", "needs an admission section (admission cannot be turned on mid-run, only resized)")
+		case rl.AdmissionDepth != nil && *rl.AdmissionDepth == 0:
+			return pathErr(p+".admission_depth", "required (admission cannot be turned off mid-run, only resized)")
 		}
-		if rl.SLO != nil && *rl.SLO < 0 {
-			return pathErr(p+".slo", "negative deadline %v", rl.SLO.Std())
-		}
-		if rl.HedgeBudget != nil {
-			if !finiteNonNegative(*rl.HedgeBudget) {
-				return pathErr(p+".hedge_budget", "budget %g (need finite >= 0)", *rl.HedgeBudget)
-			}
-			if sc.Hedge == nil {
-				return pathErr(p+".hedge_budget", "needs a hedge section (hedging cannot be turned on mid-run)")
-			}
+		next := cfg
+		if rl.SLO != nil {
+			next.SLO = rl.SLO.Std()
 		}
 		if rl.AdmissionDepth != nil {
-			if *rl.AdmissionDepth < 1 {
-				return pathErr(p+".admission_depth", "depth %d (need >= 1)", *rl.AdmissionDepth)
-			}
-			if sc.Admission == nil {
-				return pathErr(p+".admission_depth", "needs an admission section (admission cannot be turned on mid-run, only resized)")
-			}
+			next.AdmissionDepth = *rl.AdmissionDepth
+		}
+		err := next.Validate()
+		if err == nil && rl.HedgeBudget != nil {
+			err = core.HedgeConfig{Budget: *rl.HedgeBudget}.Validate()
+		}
+		if err != nil {
+			return rekey(err, map[string]string{"slo": p + ".slo", "admission_depth": p + ".admission_depth", "budget": p + ".hedge_budget"})
 		}
 	}
 	return nil

@@ -90,41 +90,44 @@ func (c Config) Enabled() bool { return len(c.Tenants) > 0 }
 
 // Validate checks the registry: unique non-empty IDs, an arrival
 // process per tenant, finite non-negative weights/quotas, a known
-// scheduler.
+// scheduler. Each error begins with the offending parameter's config
+// key ("scheduler", "tenants[1].id").
 func (c Config) Validate() error {
 	if c.Scheduler < FIFO || c.Scheduler > Priority {
-		return fmt.Errorf("tenant: unknown scheduler %v", c.Scheduler)
+		return fmt.Errorf("scheduler: unknown scheduler %v", c.Scheduler)
 	}
 	if c.SharedDepth < 0 {
-		return fmt.Errorf("tenant: negative shared depth %d", c.SharedDepth)
+		return fmt.Errorf("shared_depth: negative depth %d", c.SharedDepth)
 	}
 	seen := make(map[string]bool, len(c.Tenants))
-	for _, t := range c.Tenants {
-		if t.ID == "" {
-			return fmt.Errorf("tenant: tenant with empty ID")
-		}
-		if seen[t.ID] {
-			return fmt.Errorf("tenant: duplicate tenant %q", t.ID)
+	for i, t := range c.Tenants {
+		key := fmt.Sprintf("tenants[%d]", i)
+		switch {
+		case t.ID == "":
+			return fmt.Errorf("%s.id: required", key)
+		case seen[t.ID]:
+			return fmt.Errorf("%s.id: duplicate tenant %q", key, t.ID)
+		case t.Arrivals == nil:
+			return fmt.Errorf("%s.arrivals: required (every tenant drives its own traffic)", key)
+		case !finiteNonNegative(t.Weight):
+			return fmt.Errorf("%s.weight: weight %g (need finite >= 0)", key, t.Weight)
+		case t.SLO < 0:
+			return fmt.Errorf("%s.slo: negative deadline %v", key, t.SLO)
+		case t.QueueDepth < 0:
+			return fmt.Errorf("%s.queue_depth: negative depth %d", key, t.QueueDepth)
+		case t.MaxInFlight < 0:
+			return fmt.Errorf("%s.max_in_flight: negative quota %d", key, t.MaxInFlight)
+		case !finiteNonNegative(t.RatePerSec):
+			return fmt.Errorf("%s.rate_per_sec: rate quota %g (need finite >= 0)", key, t.RatePerSec)
+		case t.Burst < 0:
+			return fmt.Errorf("%s.burst: negative burst %d", key, t.Burst)
 		}
 		seen[t.ID] = true
-		if t.Arrivals == nil {
-			return fmt.Errorf("tenant: %q has no arrival process", t.ID)
-		}
-		if t.Weight < 0 || math.IsInf(t.Weight, 1) || math.IsNaN(t.Weight) {
-			return fmt.Errorf("tenant: %q weight %g (need finite >= 0)", t.ID, t.Weight)
-		}
-		if t.SLO < 0 {
-			return fmt.Errorf("tenant: %q negative SLO %v", t.ID, t.SLO)
-		}
-		if t.QueueDepth < 0 || t.MaxInFlight < 0 || t.Burst < 0 {
-			return fmt.Errorf("tenant: %q negative queue depth, quota or burst", t.ID)
-		}
-		if t.RatePerSec < 0 || math.IsInf(t.RatePerSec, 1) || math.IsNaN(t.RatePerSec) {
-			return fmt.Errorf("tenant: %q rate quota %g (need finite >= 0)", t.ID, t.RatePerSec)
-		}
 	}
 	return nil
 }
+
+func finiteNonNegative(v float64) bool { return v >= 0 && !math.IsInf(v, 1) }
 
 // IDs returns the tenant IDs in registration order.
 func (c Config) IDs() []string {

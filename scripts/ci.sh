@@ -25,6 +25,11 @@ go run ./cmd/ncsw-vet ./...
 echo "== go build =="
 go build ./...
 
+echo "== perfbench vet + build (nested module) =="
+# perfbench/ has its own go.mod, so the root ./... patterns never
+# compile it, yet it imports scenario and pipeline.
+(cd perfbench && go vet ./... && go build ./...)
+
 echo "== go test =="
 go test ./...
 
