@@ -57,30 +57,43 @@ func main() {
 		return
 	}
 
-	env := repro.NewEnv()
-	sticks, err := repro.NewNCSTestbed(env, *devices, repro.Seed(*seed))
+	out, err := vpuTrace(*devices, *images, *seed, *width, *csv, *faults)
 	if err != nil {
 		log.Fatal(err)
 	}
-	net := repro.NewGoogLeNet(repro.Seed(*seed))
+	fmt.Print(out)
+}
+
+// vpuTrace runs the multi-VPU pipeline over images inferences on a
+// devices-stick fleet — with -faults, under a scripted failure
+// scenario with recovery enabled — and renders its steady-state
+// timeline (or CSV spans). Deterministic for fixed arguments: the
+// golden tests pin its output.
+func vpuTrace(devices, images int, seed uint64, width int, csv, faults bool) (string, error) {
+	env := repro.NewEnv()
+	sticks, err := repro.NewNCSTestbed(env, devices, repro.Seed(seed))
+	if err != nil {
+		return "", err
+	}
+	net := repro.NewGoogLeNet(repro.Seed(seed))
 	blob, err := repro.CompileGraph(net)
 	if err != nil {
-		log.Fatal(err)
+		return "", err
 	}
 
 	tl := repro.NewTimeline()
 	opts := repro.DefaultVPUOptions()
 	opts.Timeline = tl
 	var faultLog *repro.FaultLog
-	if *faults {
+	if faults {
 		// Size the scenario so the faults land mid-steady-state: the
 		// main process opens sticks sequentially (~1.05 s each: firmware
 		// upload, RTOS boot, graph allocation), then each stick serves
 		// ~101 ms per image.
-		if *images < 30**devices {
-			*images = 30 * *devices
+		if images < 30*devices {
+			images = 30 * devices
 		}
-		setup := time.Duration(*devices) * 1100 * time.Millisecond
+		setup := time.Duration(devices) * 1100 * time.Millisecond
 		opts.Recovery = repro.RecoveryConfig{Timeout: 500 * time.Millisecond, Recover: true}
 		reg := repro.FaultRegistry{}
 		for _, d := range sticks {
@@ -95,56 +108,57 @@ func main() {
 			plan.Events = append(plan.Events, repro.FaultEvent{
 				Device: sticks[1].Name(), Kind: repro.LinkDrop, At: setup + 600*time.Millisecond})
 		}
-		faultLog, err = repro.ApplyFaults(env, plan, repro.Seed(*seed), reg,
+		faultLog, err = repro.ApplyFaults(env, plan, repro.Seed(seed), reg,
 			func(inj repro.FaultInjection) {
 				tl.Add(inj.Device, trace.Fault, inj.At, inj.Until, inj.Kind.String())
 			})
 		if err != nil {
-			log.Fatal(err)
+			return "", err
 		}
 	}
 	target, err := repro.NewVPUTarget(sticks, blob, opts)
 	if err != nil {
-		log.Fatal(err)
+		return "", err
 	}
 	cfg := repro.DefaultDatasetConfig()
-	cfg.Images = *images
+	cfg.Images = images
 	ds, err := repro.NewDataset(cfg)
 	if err != nil {
-		log.Fatal(err)
+		return "", err
 	}
-	src, err := repro.NewDatasetSource(ds, 0, *images, false)
+	src, err := repro.NewDatasetSource(ds, 0, images, false)
 	if err != nil {
-		log.Fatal(err)
+		return "", err
 	}
 	col := repro.NewCollector(false)
 	job := target.Start(env, src, col.Sink())
 	env.Run()
 	if job.Err != nil {
-		log.Fatal(job.Err)
+		return "", job.Err
 	}
 
 	// Drop the one-time setup (firmware boot, graph allocation) so the
 	// chart shows the steady-state pipeline of Fig. 4.
 	steady := tl.After(job.ReadyAt)
-	if *csv {
-		fmt.Print(steady.CSV())
-		return
+	if csv {
+		return steady.CSV(), nil
 	}
-	fmt.Printf("multi-VPU execution timeline: %d inferences on %d devices (GoogLeNet)\n", *images, *devices)
-	fmt.Printf("steady-state throughput: %.1f img/s\n\n", job.Throughput())
-	fmt.Print(steady.Render(*width))
-	fmt.Printf("\nexec overlap across devices: %v of %v steady-state\n",
+	var b strings.Builder
+	fmt.Fprintf(&b, "multi-VPU execution timeline: %d inferences on %d devices (GoogLeNet)\n", images, devices)
+	fmt.Fprintf(&b, "steady-state throughput: %.1f img/s\n\n", job.Throughput())
+	b.WriteString(steady.Render(width))
+	fmt.Fprintf(&b, "\nexec overlap across devices: %v of %v steady-state\n",
 		steady.Overlap(trace.Exec), job.DoneAt-job.ReadyAt)
 	if faultLog != nil {
-		fmt.Printf("\ninjected faults (%d):\n", faultLog.Count())
+		fmt.Fprintf(&b, "\ninjected faults (%d):\n", faultLog.Count())
 		for _, inj := range faultLog.Injections {
-			fmt.Printf("  %v\n", inj)
+			fmt.Fprintf(&b, "  %v\n", inj)
 		}
-		fmt.Printf("outage spans (X) run from detection (completion timeout %v) to rejoin after the\n",
+		fmt.Fprintf(&b, "outage spans (X) run from detection (completion timeout %v) to rejoin after the\n",
 			opts.Recovery.Timeout)
-		fmt.Println("reboot-priced recovery: reset, firmware re-upload, RTOS boot, graph re-allocation")
+		b.WriteString("reboot-priced recovery: reset, firmware re-upload, RTOS boot, graph re-allocation\n")
 	}
+	return b.String(), nil
 }
 
 // tenantsTrace runs a small multi-tenant serving session — two steady

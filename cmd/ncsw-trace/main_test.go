@@ -28,7 +28,24 @@ func TestTenantsTraceGolden(t *testing.T) {
 	if got != again {
 		t.Fatal("tenants trace differs across reruns of the same configuration")
 	}
-	golden := filepath.Join("testdata", "tenants.golden")
+	checkGolden(t, "tenants.golden", got)
+}
+
+// TestVPUTraceGolden pins the plain Fig. 4 timeline (the
+// `ncsw-trace -devices 4 -images 12` output) byte for byte.
+func TestVPUTraceGolden(t *testing.T) {
+	got, err := vpuTrace(4, 12, 1, 100, false, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "vpu.golden", got)
+}
+
+// checkGolden compares got against testdata/<name>, rewriting the file
+// under -update.
+func checkGolden(t *testing.T, name, got string) {
+	t.Helper()
+	golden := filepath.Join("testdata", name)
 	if *update {
 		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
@@ -40,7 +57,7 @@ func TestTenantsTraceGolden(t *testing.T) {
 		t.Fatalf("%v (run with -update to create it)", err)
 	}
 	if got != string(want) {
-		t.Errorf("tenants trace diverged from golden:\n--- got\n%s--- want\n%s", got, want)
+		t.Errorf("%s diverged from golden:\n--- got\n%s--- want\n%s", name, got, want)
 	}
 }
 

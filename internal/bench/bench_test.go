@@ -117,6 +117,7 @@ func TestServingShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "serving_points.json", goldenJSON(t, pts))
 	nCfg := len(servingConfigs())
 	if want := nCfg * (len(servingLoads) + 1); len(pts) != want {
 		t.Fatalf("%d serving points, want %d", len(pts), want)
@@ -156,6 +157,7 @@ func TestFig6aShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "fig6a.txt", []byte(tbl.String()))
 	if len(tbl.Rows) != QuickConfig().Subsets+2 {
 		t.Fatalf("rows = %d", len(tbl.Rows))
 	}
@@ -188,6 +190,7 @@ func TestFig6bShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "fig6b.txt", []byte(tbl.String()))
 	last := findRow(t, tbl, "8")
 	cpuScale, gpuScale, vpuScale := cell(t, last[2]), cell(t, last[4]), cell(t, last[6])
 	if cpuScale < 1.05 || cpuScale > 1.25 {
@@ -254,6 +257,7 @@ func TestFig8aShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "fig8a.txt", []byte(tbl.String()))
 	for _, b := range []string{"1", "2", "4", "8"} {
 		row := findRow(t, tbl, b)
 		cpu, gpu, vpu := cell(t, row[1]), cell(t, row[2]), cell(t, row[3])
@@ -279,6 +283,7 @@ func TestFig8bShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "fig8b.txt", []byte(tbl.String()))
 	last := findRow(t, tbl, "16")
 	cpu, gpu, vpu := cell(t, last[1]), cell(t, last[2]), cell(t, last[3])
 	if last[4] != "projected" {
@@ -307,6 +312,7 @@ func TestSummaryShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "summary.txt", []byte(tbl.String()))
 	if len(tbl.Rows) != 7 {
 		t.Fatalf("summary rows = %d", len(tbl.Rows))
 	}

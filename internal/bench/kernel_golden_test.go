@@ -46,7 +46,9 @@ func goldenJSON(t *testing.T, points any) []byte {
 }
 
 // checkGolden compares got against testdata/<name>, rewriting the file
-// under NCSW_UPDATE_GOLDEN=1.
+// under NCSW_UPDATE_GOLDEN=1. Besides the kernel-replay goldens, the
+// serving, slo and paper-figure shape tests pin their output through
+// it, so a change to how a run is assembled must replay them too.
 func checkGolden(t *testing.T, name string, got []byte) {
 	t.Helper()
 	path := filepath.Join("testdata", name)
@@ -65,7 +67,7 @@ func checkGolden(t *testing.T, name string, got []byte) {
 		t.Fatalf("missing golden (capture with NCSW_UPDATE_GOLDEN=1): %v", err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Errorf("%s: output differs from the pre-rewrite kernel's golden (%d vs %d bytes) — the kernel changed observable event ordering", name, len(got), len(want))
+		t.Errorf("%s: output differs from the committed golden (%d vs %d bytes) — the experiment's observable results changed; regenerate only for an intended change", name, len(got), len(want))
 	}
 }
 

@@ -14,6 +14,7 @@ func TestSLOShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "slo_points.json", goldenJSON(t, pts))
 	want := 0
 	for _, cfg := range sloConfigs() {
 		want += 1 + len(sloLoads)*len(sloVariants(cfg))
