@@ -48,16 +48,13 @@ func main() {
 	if *tenants && *faults {
 		log.Fatal("-tenants and -faults are separate scenarios; pick one")
 	}
+	var out string
+	var err error
 	if *tenants {
-		out, err := tenantsTrace(*devices, *images, *seed, *width, *csv)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Print(out)
-		return
+		out, err = tenantsTrace(*devices, *images, *seed, *width, *csv)
+	} else {
+		out, err = vpuTrace(*devices, *images, *seed, *width, *csv, *faults)
 	}
-
-	out, err := vpuTrace(*devices, *images, *seed, *width, *csv, *faults)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -70,21 +67,9 @@ func main() {
 // timeline (or CSV spans). Deterministic for fixed arguments: the
 // golden tests pin its output.
 func vpuTrace(devices, images int, seed uint64, width int, csv, faults bool) (string, error) {
-	env := repro.NewEnv()
-	sticks, err := repro.NewNCSTestbed(env, devices, repro.Seed(seed))
-	if err != nil {
-		return "", err
-	}
-	net := repro.NewGoogLeNet(repro.Seed(seed))
-	blob, err := repro.CompileGraph(net)
-	if err != nil {
-		return "", err
-	}
-
 	tl := repro.NewTimeline()
-	opts := repro.DefaultVPUOptions()
-	opts.Timeline = tl
-	var faultLog *repro.FaultLog
+	var recovery repro.RecoveryConfig
+	var plan repro.FaultPlan
 	if faults {
 		// Size the scenario so the faults land mid-steady-state: the
 		// main process opens sticks sequentially (~1.05 s each: firmware
@@ -94,68 +79,56 @@ func vpuTrace(devices, images int, seed uint64, width int, csv, faults bool) (st
 			images = 30 * devices
 		}
 		setup := time.Duration(devices) * 1100 * time.Millisecond
-		opts.Recovery = repro.RecoveryConfig{Timeout: 500 * time.Millisecond, Recover: true}
-		reg := repro.FaultRegistry{}
-		for _, d := range sticks {
-			reg.Add(d.Name(), d)
-		}
-		plan := repro.FaultPlan{Events: []repro.FaultEvent{
-			{Device: sticks[0].Name(), Kind: repro.Slowdown, At: setup + 200*time.Millisecond,
+		recovery = repro.RecoveryConfig{Timeout: 500 * time.Millisecond, Recover: true}
+		plan.Events = []repro.FaultEvent{
+			{Device: "ncs0", Kind: repro.Slowdown, At: setup + 200*time.Millisecond,
 				Factor: 3, Duration: time.Second},
-			{Device: sticks[len(sticks)-1].Name(), Kind: repro.StickHang, At: setup + 300*time.Millisecond},
-		}}
-		if len(sticks) > 2 {
+			{Device: fmt.Sprintf("ncs%d", devices-1), Kind: repro.StickHang, At: setup + 300*time.Millisecond},
+		}
+		if devices > 2 {
 			plan.Events = append(plan.Events, repro.FaultEvent{
-				Device: sticks[1].Name(), Kind: repro.LinkDrop, At: setup + 600*time.Millisecond})
+				Device: "ncs1", Kind: repro.LinkDrop, At: setup + 600*time.Millisecond})
 		}
-		faultLog, err = repro.ApplyFaults(env, plan, repro.Seed(seed), reg,
-			func(inj repro.FaultInjection) {
-				tl.Add(inj.Device, trace.Fault, inj.At, inj.Until, inj.Kind.String())
-			})
-		if err != nil {
-			return "", err
-		}
-	}
-	target, err := repro.NewVPUTarget(sticks, blob, opts)
-	if err != nil {
-		return "", err
 	}
 	cfg := repro.DefaultDatasetConfig()
 	cfg.Images = images
-	ds, err := repro.NewDataset(cfg)
+	sess, err := repro.NewSession(
+		repro.WithVPUs(devices),
+		repro.WithSeed(seed),
+		repro.WithNetSeed(seed),
+		repro.WithTimeline(tl),
+		repro.WithDataset(cfg),
+		repro.WithFaults(plan),
+		repro.WithRecovery(recovery),
+	)
 	if err != nil {
 		return "", err
 	}
-	src, err := repro.NewDatasetSource(ds, 0, images, false)
+	rep, err := sess.Run()
 	if err != nil {
 		return "", err
-	}
-	col := repro.NewCollector(false)
-	job := target.Start(env, src, col.Sink())
-	env.Run()
-	if job.Err != nil {
-		return "", job.Err
 	}
 
 	// Drop the one-time setup (firmware boot, graph allocation) so the
 	// chart shows the steady-state pipeline of Fig. 4.
+	job := rep.Job
 	steady := tl.After(job.ReadyAt)
 	if csv {
 		return steady.CSV(), nil
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "multi-VPU execution timeline: %d inferences on %d devices (GoogLeNet)\n", images, devices)
-	fmt.Fprintf(&b, "steady-state throughput: %.1f img/s\n\n", job.Throughput())
+	fmt.Fprintf(&b, "steady-state throughput: %.1f img/s\n\n", rep.Throughput)
 	b.WriteString(steady.Render(width))
 	fmt.Fprintf(&b, "\nexec overlap across devices: %v of %v steady-state\n",
 		steady.Overlap(trace.Exec), job.DoneAt-job.ReadyAt)
-	if faultLog != nil {
-		fmt.Fprintf(&b, "\ninjected faults (%d):\n", faultLog.Count())
-		for _, inj := range faultLog.Injections {
+	if faults {
+		fmt.Fprintf(&b, "\ninjected faults (%d):\n", rep.FaultsInjected)
+		for _, inj := range rep.FaultLog.Injections {
 			fmt.Fprintf(&b, "  %v\n", inj)
 		}
 		fmt.Fprintf(&b, "outage spans (X) run from detection (completion timeout %v) to rejoin after the\n",
-			opts.Recovery.Timeout)
+			recovery.Timeout)
 		b.WriteString("reboot-priced recovery: reset, firmware re-upload, RTOS boot, graph re-allocation\n")
 	}
 	return b.String(), nil

@@ -41,6 +41,17 @@ func TestVPUTraceGolden(t *testing.T) {
 	checkGolden(t, "vpu.golden", got)
 }
 
+// TestVPUTraceFaultsGolden pins the `ncsw-trace -devices 4 -faults`
+// chart: the scripted slowdown, hang and link drop, their injection
+// log and the recovery outages.
+func TestVPUTraceFaultsGolden(t *testing.T) {
+	got, err := vpuTrace(4, 12, 1, 100, false, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "faults.golden", got)
+}
+
 // checkGolden compares got against testdata/<name>, rewriting the file
 // under -update.
 func checkGolden(t *testing.T, name, got string) {

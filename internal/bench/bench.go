@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/devsim"
 	"repro/internal/graphfile"
 	"repro/internal/nn"
 	"repro/internal/rng"
@@ -141,10 +140,9 @@ func (t *Table) Markdown() string {
 // Harness caches the expensive shared artefacts (the GoogLeNet graph,
 // its compiled blob, the micro network) across experiments.
 type Harness struct {
-	cfg      Config
-	goog     *nn.Graph
-	blob     []byte
-	workload devsim.Workload
+	cfg  Config
+	goog *nn.Graph
+	blob []byte
 	// capCache memoizes the deterministic closed-loop capacity probes
 	// shared by the resilience and hedge experiments (keyed by
 	// config/images; see resilienceCapacity).
@@ -162,10 +160,9 @@ func NewHarness(cfg Config) (*Harness, error) {
 		return nil, err
 	}
 	return &Harness{
-		cfg:      cfg,
-		goog:     goog,
-		blob:     blob,
-		workload: devsim.WorkloadOf(goog),
+		cfg:  cfg,
+		goog: goog,
+		blob: blob,
 	}, nil
 }
 
@@ -178,37 +175,40 @@ func (h *Harness) GoogLeNet() *nn.Graph { return h.goog }
 // Blob returns the compiled GoogLeNet graph file.
 func (h *Harness) Blob() []byte { return h.blob }
 
+// experiments lists every artefact in paper order: the paper's
+// figures, the headline summary, and the beyond-the-paper studies.
+// All, Experiment and ExperimentIDs all read it.
+var experiments = []struct {
+	id  string
+	run func(h *Harness) (*Table, error)
+}{
+	{"fig6a", (*Harness).Fig6a},
+	{"fig6b", (*Harness).Fig6b},
+	{"fig7a", (*Harness).Fig7a},
+	{"fig7b", (*Harness).Fig7b},
+	{"fig8a", (*Harness).Fig8a},
+	{"fig8b", (*Harness).Fig8b},
+	{"summary", (*Harness).Summary},
+	{"ablation", (*Harness).Ablation},
+	{"precision", func(h *Harness) (*Table, error) { return h.PrecisionAblation(precisionImages(h.cfg)) }},
+	{"gemm", (*Harness).GEMMStudy},
+	{"serving", (*Harness).Serving},
+	{"slo", (*Harness).SLO},
+	{"resilience", (*Harness).Resilience},
+	{"hedge", (*Harness).Hedge},
+	{"kernel", (*Harness).Kernel},
+	{"split", (*Harness).Split},
+	{"tenants", (*Harness).Tenants},
+	{"scenarios", (*Harness).Scenarios},
+}
+
 // All runs every experiment in paper order.
 func (h *Harness) All() ([]*Table, error) {
-	type gen struct {
-		name string
-		fn   func() (*Table, error)
-	}
-	gens := []gen{
-		{"fig6a", h.Fig6a},
-		{"fig6b", h.Fig6b},
-		{"fig7a", h.Fig7a},
-		{"fig7b", h.Fig7b},
-		{"fig8a", h.Fig8a},
-		{"fig8b", h.Fig8b},
-		{"summary", h.Summary},
-		{"ablation", h.Ablation},
-		{"precision", func() (*Table, error) { return h.PrecisionAblation(precisionImages(h.cfg)) }},
-		{"gemm", h.GEMMStudy},
-		{"serving", h.Serving},
-		{"slo", h.SLO},
-		{"resilience", h.Resilience},
-		{"hedge", h.Hedge},
-		{"kernel", h.Kernel},
-		{"split", h.Split},
-		{"tenants", h.Tenants},
-		{"scenarios", h.Scenarios},
-	}
 	var out []*Table
-	for _, g := range gens {
-		t, err := g.fn()
+	for _, e := range experiments {
+		t, err := e.run(h)
 		if err != nil {
-			return nil, fmt.Errorf("bench: %s: %w", g.name, err)
+			return nil, fmt.Errorf("bench: %s: %w", e.id, err)
 		}
 		out = append(out, t)
 	}
@@ -217,46 +217,12 @@ func (h *Harness) All() ([]*Table, error) {
 
 // Experiment runs one experiment by table ID.
 func (h *Harness) Experiment(id string) (*Table, error) {
-	switch id {
-	case "fig6a":
-		return h.Fig6a()
-	case "fig6b":
-		return h.Fig6b()
-	case "fig7a":
-		return h.Fig7a()
-	case "fig7b":
-		return h.Fig7b()
-	case "fig8a":
-		return h.Fig8a()
-	case "fig8b":
-		return h.Fig8b()
-	case "summary":
-		return h.Summary()
-	case "ablation":
-		return h.Ablation()
-	case "precision":
-		return h.PrecisionAblation(precisionImages(h.cfg))
-	case "gemm":
-		return h.GEMMStudy()
-	case "serving":
-		return h.Serving()
-	case "slo":
-		return h.SLO()
-	case "resilience":
-		return h.Resilience()
-	case "hedge":
-		return h.Hedge()
-	case "kernel":
-		return h.Kernel()
-	case "split":
-		return h.Split()
-	case "tenants":
-		return h.Tenants()
-	case "scenarios":
-		return h.Scenarios()
-	default:
-		return nil, fmt.Errorf("bench: unknown experiment %q (have %v)", id, ExperimentIDs())
+	for _, e := range experiments {
+		if e.id == id {
+			return e.run(h)
+		}
 	}
+	return nil, fmt.Errorf("bench: unknown experiment %q (have %v)", id, ExperimentIDs())
 }
 
 // precisionImages bounds the precision ablation: its FP16-accumulate
@@ -272,8 +238,11 @@ func precisionImages(cfg Config) int {
 	return cfg.FunctionalImagesPerSubset
 }
 
-// ExperimentIDs lists the available artefacts: the paper's figures in
-// order, the headline summary, and the beyond-the-paper studies.
+// ExperimentIDs lists the available artefacts in paper order.
 func ExperimentIDs() []string {
-	return []string{"fig6a", "fig6b", "fig7a", "fig7b", "fig8a", "fig8b", "summary", "ablation", "precision", "gemm", "serving", "slo", "resilience", "hedge", "kernel", "split", "tenants", "scenarios"}
+	ids := make([]string, len(experiments))
+	for i, e := range experiments {
+		ids[i] = e.id
+	}
+	return ids
 }

@@ -31,15 +31,15 @@ func (h *Harness) Fig6a() (*Table, error) {
 	var cpuSum, gpuSum, vpuSum float64
 	for k := 0; k < h.cfg.Subsets; k++ {
 		run := fmt.Sprintf("fig6a/set%d", k+1)
-		cpu, err := h.runBatchDevice("cpu", 8, h.cfg.ImagesPerSubset, run)
+		cpu, err := h.runPerf("cpu", 8, h.cfg.ImagesPerSubset, run)
 		if err != nil {
 			return nil, err
 		}
-		gpu, err := h.runBatchDevice("gpu", 8, h.cfg.ImagesPerSubset, run)
+		gpu, err := h.runPerf("gpu", 8, h.cfg.ImagesPerSubset, run)
 		if err != nil {
 			return nil, err
 		}
-		vpu, err := h.runVPU(8, h.cfg.ImagesPerSubset, run)
+		vpu, err := h.runPerf("vpu", 8, h.cfg.ImagesPerSubset, run)
 		if err != nil {
 			return nil, err
 		}
@@ -91,15 +91,15 @@ func (h *Harness) Fig6b() (*Table, error) {
 	base := map[string]float64{}
 	for _, b := range Fig6bBatches {
 		run := fmt.Sprintf("fig6b/b%d", b)
-		cpu, err := h.runBatchDevice("cpu", b, images, run)
+		cpu, err := h.runPerf("cpu", b, images, run)
 		if err != nil {
 			return nil, err
 		}
-		gpu, err := h.runBatchDevice("gpu", b, images, run)
+		gpu, err := h.runPerf("gpu", b, images, run)
 		if err != nil {
 			return nil, err
 		}
-		vpu, err := h.runVPU(b, images, run)
+		vpu, err := h.runPerf("vpu", b, images, run)
 		if err != nil {
 			return nil, err
 		}

@@ -3,15 +3,11 @@ package bench
 import (
 	"fmt"
 	"math"
+	"time"
 
-	"repro/internal/core"
-	"repro/internal/devsim"
 	"repro/internal/imagenet"
-	"repro/internal/ncs"
-	"repro/internal/rng"
-	"repro/internal/sim"
+	"repro/internal/pipeline"
 	"repro/internal/stats"
-	"repro/internal/usb"
 )
 
 // perfResult is one performance measurement: steady-state throughput
@@ -24,120 +20,83 @@ type perfResult struct {
 	StdMS float64
 }
 
-// runVPU measures an n-stick multi-VPU run over `images` inferences.
-// runName isolates the jitter and topology seeds, so distinct subsets
-// measure slightly different values — the error bars of Fig. 6a.
-func (h *Harness) runVPU(n, images int, runName string) (perfResult, error) {
-	env := sim.NewEnv()
-	_, ports, err := usb.Testbed(env, usb.DefaultConfig(), n)
+// runPerf measures one standard device group over `images`
+// inferences: a "cpu" or "gpu" batch engine at batch size n, or n
+// "vpu" sticks. runName seeds the group's devices under
+// "<dev>-run/<runName>", so distinct subsets measure slightly
+// different values — the error bars of Fig. 6a. StdMS spreads the
+// per-inference VPU latencies, or the per-batch CPU/GPU spans
+// amortized per image.
+func (h *Harness) runPerf(dev string, n, images int, runName string) (perfResult, error) {
+	cfg := servingConfig{dev: dev, batch: n}
+	if dev == "vpu" {
+		cfg = servingConfig{dev: dev, sticks: n}
+	}
+	scfg := h.standardRun(cfg.group(dev+"-run/"+runName), images)
+	scfg.Retain = true
+	rep, _, err := runSession(scfg)
 	if err != nil {
 		return perfResult{}, err
-	}
-	seed := rng.New(h.cfg.Seed).Derive("vpu-run/" + runName)
-	devices := make([]*ncs.Device, n)
-	for i, port := range ports {
-		d, err := ncs.NewDevice(env, port.Name(), port, ncs.DefaultConfig(), seed)
-		if err != nil {
-			return perfResult{}, err
-		}
-		devices[i] = d
-	}
-	target, err := core.NewVPUTarget(devices, h.blob, core.DefaultVPUOptions())
-	if err != nil {
-		return perfResult{}, err
-	}
-	ds, err := h.perfDatasetSized(images)
-	if err != nil {
-		return perfResult{}, err
-	}
-	src, err := core.NewDatasetSource(ds, 0, images, false)
-	if err != nil {
-		return perfResult{}, err
-	}
-	col := core.NewCollector(true)
-	job := target.Start(env, src, col.Sink())
-	env.Run()
-	if job.Err != nil {
-		return perfResult{}, job.Err
 	}
 	var spans stats.Running
-	for _, r := range col.Results {
-		spans.Add((r.End - r.Start).Seconds() * 1e3)
-	}
-	ips := job.Throughput()
-	return perfResult{
-		ImagesPerSec: ips,
-		PerImageMS:   1e3 / ips,
-		StdMS:        spans.Std(),
-	}, nil
-}
-
-// runBatchDevice measures a Caffe-style batch engine at the given
-// batch size over `images` images.
-func (h *Harness) runBatchDevice(dev string, batch, images int, runName string) (perfResult, error) {
-	seed := rng.New(h.cfg.Seed).Derive(dev + "-run/" + runName)
-	var target *core.BatchTarget
-	var err error
-	switch dev {
-	case "cpu":
-		eng, e := devsim.NewCPU(devsim.DefaultCPUConfig(), h.workload, seed)
-		if e != nil {
-			return perfResult{}, e
-		}
-		target, err = core.NewCPUTarget(eng, h.goog, batch, false)
-	case "gpu":
-		eng, e := devsim.NewGPU(devsim.DefaultGPUConfig(), h.workload, seed)
-		if e != nil {
-			return perfResult{}, e
-		}
-		target, err = core.NewGPUTarget(eng, h.goog, batch, false)
-	default:
-		return perfResult{}, fmt.Errorf("bench: unknown device %q", dev)
-	}
-	if err != nil {
-		return perfResult{}, err
-	}
-	ds, err := h.perfDatasetSized(images)
-	if err != nil {
-		return perfResult{}, err
-	}
-	src, err := core.NewDatasetSource(ds, 0, images, false)
-	if err != nil {
-		return perfResult{}, err
-	}
-	env := sim.NewEnv()
-	col := core.NewCollector(true)
-	job := target.Start(env, src, col.Sink())
-	env.Run()
-	if job.Err != nil {
-		return perfResult{}, job.Err
-	}
-	// Per-batch spans, amortized per image.
-	var spans stats.Running
-	seen := map[int64]bool{}
-	for _, r := range col.Results {
-		key := int64(r.Start)
-		if seen[key] {
+	seen := map[time.Duration]bool{}
+	for _, r := range rep.Results {
+		if dev == "vpu" {
+			spans.Add((r.End - r.Start).Seconds() * 1e3)
 			continue
 		}
-		seen[key] = true
-		spans.Add((r.End - r.Start).Seconds() * 1e3 / float64(batch))
+		if seen[r.Start] {
+			continue
+		}
+		seen[r.Start] = true
+		spans.Add((r.End - r.Start).Seconds() * 1e3 / float64(n))
 	}
-	ips := job.Throughput()
 	return perfResult{
-		ImagesPerSec: ips,
-		PerImageMS:   1e3 / ips,
+		ImagesPerSec: rep.Throughput,
+		PerImageMS:   1e3 / rep.Throughput,
 		StdMS:        spans.Std(),
 	}, nil
 }
 
-// perfDatasetSized builds a label-only dataset with exactly n images.
-func (h *Harness) perfDatasetSized(n int) (*imagenet.Dataset, error) {
+// standardRun is the session config of a standard bench run: one
+// device group over the first `images` images of the perf dataset, on
+// the harness's GoogLeNet and compiled blob.
+func (h *Harness) standardRun(g pipeline.Group, images int) pipeline.Config {
+	return pipeline.Config{
+		Dataset: h.perfDatasetConfig(images),
+		Net:     h.goog,
+		Blob:    h.blob,
+		Seed:    h.cfg.Seed,
+		Groups:  []pipeline.Group{g},
+	}
+}
+
+// runSession builds and runs one session, returning the session too
+// so callers can inspect its targets afterwards.
+func runSession(cfg pipeline.Config) (*pipeline.Report, *pipeline.Session, error) {
+	sess, err := pipeline.NewFromConfig(cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	rep, err := sess.Run()
+	if err != nil {
+		return nil, nil, err
+	}
+	return rep, sess, nil
+}
+
+// perfDatasetConfig is the label-only dataset with exactly n images.
+func (h *Harness) perfDatasetConfig(n int) imagenet.Config {
 	cfg := imagenet.DefaultConfig()
 	cfg.Images = n
 	cfg.Subsets = 1
 	cfg.Seed = h.cfg.Seed + 2012
-	return imagenet.New(cfg)
+	return cfg
+}
+
+// perfDatasetSized builds the perfDatasetConfig dataset.
+func (h *Harness) perfDatasetSized(n int) (*imagenet.Dataset, error) {
+	return imagenet.New(h.perfDatasetConfig(n))
 }
 
 // fmtRatio renders a measured-vs-paper pair as "x (paper y)".

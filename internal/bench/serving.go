@@ -5,11 +5,7 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/devsim"
-	"repro/internal/ncs"
-	"repro/internal/rng"
-	"repro/internal/sim"
-	"repro/internal/usb"
+	"repro/internal/pipeline"
 )
 
 // servingLoads are the offered-load fractions of each configuration's
@@ -63,6 +59,15 @@ func servingConfigs() []servingConfig {
 		{name: "vpu-1", dev: "vpu", sticks: 1},
 		{name: "vpu-4", dev: "vpu", sticks: 4},
 	}
+}
+
+// group declares the configuration's device group, its devices seeded
+// under label.
+func (c servingConfig) group(label string) pipeline.Group {
+	kind := map[string]pipeline.GroupKind{
+		"cpu": pipeline.GroupCPU, "gpu": pipeline.GroupGPU, "vpu": pipeline.GroupVPU,
+	}[c.dev]
+	return pipeline.Group{Kind: kind, Batch: c.batch, Devices: c.sticks, SeedLabel: label}
 }
 
 // ServingPoints runs the serving experiment: for every configuration,
@@ -157,63 +162,37 @@ func (h *Harness) Serving() (*Table, error) {
 // and setup time (Job.ReadyAt) — the normalization for offered load
 // and the arrival delay of the open-loop points.
 func (h *Harness) servingCapacity(cfg servingConfig, images int) (float64, time.Duration, error) {
-	env := sim.NewEnv()
-	target, err := h.servingTarget(env, cfg, "capacity")
+	rep, _, err := runSession(h.standardRun(cfg.group(servingSeedLabel(cfg, "capacity")), images))
 	if err != nil {
 		return 0, 0, err
 	}
-	ds, err := h.perfDatasetSized(images)
-	if err != nil {
-		return 0, 0, err
-	}
-	src, err := core.NewDatasetSource(ds, 0, images, false)
-	if err != nil {
-		return 0, 0, err
-	}
-	job := target.Start(env, src, func(core.Result) {})
-	env.Run()
-	if job.Err != nil {
-		return 0, 0, job.Err
-	}
-	return job.Throughput(), job.ReadyAt, nil
+	return rep.Throughput, rep.Targets[0].Job.ReadyAt, nil
+}
+
+// servingSeedLabel seeds one run of a configuration, so distinct
+// points draw independent jitter, like the other experiments.
+func servingSeedLabel(cfg servingConfig, runName string) string {
+	return "serving/" + cfg.name + "/run/" + runName
 }
 
 // servePoint measures one open-loop point: Poisson arrivals at rate,
 // delayed past the configuration's setup time.
 func (h *Harness) servePoint(cfg servingConfig, images int, frac, rate float64, ready time.Duration) (ServingPoint, error) {
-	env := sim.NewEnv()
 	runName := fmt.Sprintf("load%.2f", frac)
-	target, err := h.servingTarget(env, cfg, runName)
+	scfg := h.standardRun(cfg.group(servingSeedLabel(cfg, runName)), images)
+	scfg.Arrivals = core.DelayedArrivals(core.PoissonArrivals(rate), ready)
+	scfg.ArrivalLabel = "serving/" + cfg.name + "/" + runName
+	rep, _, err := runSession(scfg)
 	if err != nil {
 		return ServingPoint{}, err
 	}
-	ds, err := h.perfDatasetSized(images)
-	if err != nil {
-		return ServingPoint{}, err
-	}
-	src, err := core.NewDatasetSource(ds, 0, images, false)
-	if err != nil {
-		return ServingPoint{}, err
-	}
-	arr := core.DelayedArrivals(core.PoissonArrivals(rate), ready)
-	asrc, err := core.NewArrivalSource(env, src, arr,
-		rng.New(h.cfg.Seed).Derive("serving/"+cfg.name+"/"+runName))
-	if err != nil {
-		return ServingPoint{}, err
-	}
-	col := core.NewCollector(false)
-	job := target.Start(env, asrc, col.Sink())
-	env.Run()
-	if job.Err != nil {
-		return ServingPoint{}, job.Err
-	}
-	lat := col.Latency()
+	lat := rep.Latency
 	ms := func(d time.Duration) float64 { return round2(d.Seconds() * 1e3) }
 	return ServingPoint{
 		Device:        cfg.name,
 		LoadFraction:  frac,
 		OfferedIPS:    round2(rate),
-		AchievedIPS:   round2(job.Throughput()),
+		AchievedIPS:   round2(rep.Throughput),
 		P50MS:         ms(lat.P50),
 		P95MS:         ms(lat.P95),
 		P99MS:         ms(lat.P99),
@@ -221,41 +200,4 @@ func (h *Harness) servePoint(cfg servingConfig, images int, frac, rate float64, 
 		QueueMeanMS:   ms(lat.QueueMean),
 		ServiceMeanMS: ms(lat.ServiceMean),
 	}, nil
-}
-
-// servingTarget builds one configuration's target inside env, seeded
-// per run so distinct points draw independent jitter, like the other
-// experiments.
-func (h *Harness) servingTarget(env *sim.Env, cfg servingConfig, runName string) (core.Target, error) {
-	seed := rng.New(h.cfg.Seed).Derive("serving/" + cfg.name + "/run/" + runName)
-	switch cfg.dev {
-	case "cpu":
-		eng, err := devsim.NewCPU(devsim.DefaultCPUConfig(), h.workload, seed)
-		if err != nil {
-			return nil, err
-		}
-		return core.NewCPUTarget(eng, h.goog, cfg.batch, false)
-	case "gpu":
-		eng, err := devsim.NewGPU(devsim.DefaultGPUConfig(), h.workload, seed)
-		if err != nil {
-			return nil, err
-		}
-		return core.NewGPUTarget(eng, h.goog, cfg.batch, false)
-	case "vpu":
-		_, ports, err := usb.Testbed(env, usb.DefaultConfig(), cfg.sticks)
-		if err != nil {
-			return nil, err
-		}
-		devices := make([]*ncs.Device, cfg.sticks)
-		for i, port := range ports {
-			d, err := ncs.NewDevice(env, port.Name(), port, ncs.DefaultConfig(), seed)
-			if err != nil {
-				return nil, err
-			}
-			devices[i] = d
-		}
-		return core.NewVPUTarget(devices, h.blob, core.DefaultVPUOptions())
-	default:
-		return nil, fmt.Errorf("bench: unknown serving device %q", cfg.dev)
-	}
 }

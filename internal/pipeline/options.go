@@ -75,14 +75,6 @@ func WithVPUs(n int) Option {
 	return func(c *Config) { c.Groups = append(c.Groups, Group{Kind: GroupVPU, Devices: n}) }
 }
 
-// WithVPUOptions adds a VPU group with explicit pipeline options
-// (scheduling, overlap, host overhead).
-func WithVPUOptions(n int, opts core.VPUOptions) Option {
-	return func(c *Config) {
-		c.Groups = append(c.Groups, Group{Kind: GroupVPU, Devices: n, VPUOptions: &opts})
-	}
-}
-
 // WithTarget adds a custom target as its own device group.
 func WithTarget(t core.Target) Option {
 	return func(c *Config) { c.Groups = append(c.Groups, Group{Kind: GroupCustom, Target: t}) }

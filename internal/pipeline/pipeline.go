@@ -86,13 +86,12 @@ type Group struct {
 	// routing; 0 means unset. When any group sets a weight, unset
 	// groups default to 1.
 	Weight float64
-	// SeedLabel, when set, derives this group's batch-engine seed from
-	// the session seed by label — rng.New(Seed).Derive(SeedLabel) —
-	// instead of using the session seed directly. Hand-wired benches
-	// decorrelate per-run jitter streams this way ("serving/cpu-b8/
-	// run/load1.10"); the label lets a declarative session reproduce
-	// such a run bit for bit. CPU/GPU groups only (VPU sticks draw
-	// from the shared testbed seed).
+	// SeedLabel, when set, derives this group's device seed from the
+	// session seed by label — rng.New(Seed).Derive(SeedLabel) — instead
+	// of using the session seed directly: the batch engine of a CPU/GPU
+	// group, every stick of a VPU group. Benches decorrelate per-run
+	// jitter streams this way ("serving/cpu-b8/run/load1.10",
+	// "vpu-run/3"). Not valid on custom groups, which own their seeding.
 	SeedLabel string
 	// VPUOptions overrides the multi-VPU pipeline settings for this
 	// group (Functional and Timeline are managed by the session).
@@ -167,10 +166,9 @@ type Config struct {
 	Arrivals core.Arrivals
 	// ArrivalLabel overrides the label the arrival stream's seed is
 	// derived under (default "arrivals"): the stream draws from
-	// rng.New(Seed).Derive(ArrivalLabel). Hand-wired benches pin
-	// arrival sequences to labels like "slo/cpu-b8/load1.10" so every
-	// serving edge faces identical traffic; the override lets a
-	// declarative session replay exactly that traffic.
+	// rng.New(Seed).Derive(ArrivalLabel). The slo bench pins arrival
+	// sequences to labels like "slo/cpu-b8/load1.10" so every serving
+	// edge of a cell faces identical traffic.
 	ArrivalLabel string
 	// SLO is the per-item serving deadline (arrival to completion)
 	// goodput is measured against; 0 disables goodput accounting.
@@ -406,6 +404,15 @@ func (g *Group) applyDefaults() {
 	}
 }
 
+// seed is the group's device seed under the session seed: derived by
+// SeedLabel when set, the session seed itself otherwise.
+func (g Group) seed(session uint64) *rng.Source {
+	if g.SeedLabel != "" {
+		return rng.New(session).Derive(g.SeedLabel)
+	}
+	return rng.New(session)
+}
+
 // validate checks one group after applyDefaults (so a CPU/GPU batch or
 // a VPU stick count of 0 has already become its default). role
 // ("group" or "stage") and i label its errors with the config key
@@ -423,6 +430,8 @@ func (g Group) validate(role string, i int) error {
 		return fmt.Errorf("%s.target: %s %d: custom %s needs a Target", key, role, i, role)
 	case !(g.Weight >= 0) || math.IsInf(g.Weight, 1):
 		return fmt.Errorf("%s.weight: %s %d: weight %g (need finite >= 0)", key, role, i, g.Weight)
+	case g.Kind == GroupCustom && g.SeedLabel != "":
+		return fmt.Errorf("%s.seed_label: %s %d: a custom %s owns its seeding", key, role, i, role)
 	}
 	return nil
 }
@@ -579,9 +588,8 @@ func (s *Session) buildNetwork() error {
 
 // buildTargets assembles the USB testbed (all sticks of all VPU
 // groups share the paper's Fig. 5 topology) and one target per group.
-// Each target family is seeded exactly the way the hand-wired
-// constructors seed it, so a session run is bit-identical to the
-// equivalent manual setup.
+// Every device draws from its group's seed (Group.seed), so a session
+// run is bit-identical to the same devices wired by hand.
 func (s *Session) buildTargets() error {
 	s.registry = fault.Registry{}
 	groups := make([]Group, 0, len(s.cfg.Groups)+len(s.stages))
@@ -616,10 +624,18 @@ func (s *Session) buildTargets() error {
 		if err != nil {
 			return fmt.Errorf("pipeline: usb testbed: %w", err)
 		}
-		deviceSeed := rng.New(s.cfg.Seed)
+		// Each stick draws from its own group's seed, in port order.
+		var stickSeeds []*rng.Source
+		for i, g := range groups {
+			if g.Kind == GroupVPU {
+				for range g.Devices * reps[i] {
+					stickSeeds = append(stickSeeds, g.seed(s.cfg.Seed))
+				}
+			}
+		}
 		s.devices = make([]*ncs.Device, totalSticks)
 		for i, port := range ports {
-			d, err := ncs.NewDevice(s.env, port.Name(), port, ncs.DefaultConfig(), deviceSeed)
+			d, err := ncs.NewDevice(s.env, port.Name(), port, ncs.DefaultConfig(), stickSeeds[i])
 			if err != nil {
 				return fmt.Errorf("pipeline: ncs device: %w", err)
 			}
@@ -684,15 +700,9 @@ func (s *Session) buildTargets() error {
 // same group index, so all copies share the stage's collectors and
 // recovery accounting.
 func (s *Session) buildGroupTarget(i int, g Group, net *nn.Graph, blob []byte, nextStick *int, batchName func(GroupKind) string) (core.Target, error) {
-	engineSeed := func() *rng.Source {
-		if g.SeedLabel != "" {
-			return rng.New(s.cfg.Seed).Derive(g.SeedLabel)
-		}
-		return rng.New(s.cfg.Seed)
-	}
 	switch g.Kind {
 	case GroupCPU:
-		eng, err := devsim.NewCPU(devsim.DefaultCPUConfig(), devsim.WorkloadOf(net), engineSeed())
+		eng, err := devsim.NewCPU(devsim.DefaultCPUConfig(), devsim.WorkloadOf(net), g.seed(s.cfg.Seed))
 		if err != nil {
 			return nil, fmt.Errorf("pipeline: cpu engine: %w", err)
 		}
@@ -708,7 +718,7 @@ func (s *Session) buildGroupTarget(i int, g Group, net *nn.Graph, blob []byte, n
 		s.registry.Add(batchName(GroupCPU), eng)
 		return t, nil
 	case GroupGPU:
-		eng, err := devsim.NewGPU(devsim.DefaultGPUConfig(), devsim.WorkloadOf(net), engineSeed())
+		eng, err := devsim.NewGPU(devsim.DefaultGPUConfig(), devsim.WorkloadOf(net), g.seed(s.cfg.Seed))
 		if err != nil {
 			return nil, fmt.Errorf("pipeline: gpu engine: %w", err)
 		}

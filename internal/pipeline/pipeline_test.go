@@ -7,8 +7,14 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/devsim"
+	"repro/internal/graphfile"
 	"repro/internal/imagenet"
+	"repro/internal/ncs"
+	"repro/internal/nn"
+	"repro/internal/rng"
 	"repro/internal/sim"
+	"repro/internal/usb"
 )
 
 func smallDataset(images int) imagenet.Config {
@@ -100,42 +106,193 @@ func TestSessionSingleGroupMatchesHandWired(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// Hand-wired equivalent (the pre-session API dance).
-	hand := handWiredVPU(t, images, 7)
-	if rep.Throughput != hand {
+	if hand := handWiredVPU(t, 2, images, rng.New(7)); rep.Throughput != hand {
 		t.Errorf("session throughput %.6f != hand-wired %.6f", rep.Throughput, hand)
 	}
 }
 
-func handWiredVPU(t *testing.T, images int, seed uint64) float64 {
+// TestSessionVPUScalingMatchesTarget: a single-group session must
+// reproduce the hand-wired multi-VPU numbers exactly — the session
+// layer adds no timing overhead.
+func TestSessionVPUScalingMatchesTarget(t *testing.T) {
+	const images = 100
+	for _, n := range []int{1, 2} {
+		sess, err := New(WithImages(images), WithVPUs(n), WithSeed(7))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := sess.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		hand := handWiredVPU(t, n, images, rng.New(7))
+		if rep.Throughput != hand {
+			t.Errorf("%d sticks: session %.4f img/s != hand-wired %.4f", n, rep.Throughput, hand)
+		}
+	}
+}
+
+// TestSessionSeedLabelSeedsSticks: a labelled VPU group seeds its
+// sticks with rng.New(Seed).Derive(SeedLabel), exactly as a testbed
+// wired by hand with that seed; unlabelled sticks draw from the
+// session seed, so the label must change the run.
+func TestSessionSeedLabelSeedsSticks(t *testing.T) {
+	const images = 40
+	run := func(label string) float64 {
+		sess, err := NewFromConfig(Config{
+			Dataset: smallDataset(images),
+			Groups:  []Group{{Kind: GroupVPU, Devices: 2, SeedLabel: label}},
+			Seed:    7,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := sess.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep.Throughput
+	}
+	const label = "vpu-run/set1"
+	labelled := run(label)
+	if hand := handWiredVPU(t, 2, images, rng.New(7).Derive(label)); labelled != hand {
+		t.Errorf("labelled session %.6f img/s != hand-wired %.6f", labelled, hand)
+	}
+	if plain := run(""); labelled == plain {
+		t.Errorf("seed label left the run unchanged (%.6f img/s)", plain)
+	}
+}
+
+// TestSessionMatchesHandWiredPool: a heterogeneous session (CPU + GPU
+// + 4 VPUs over one dataset source) matches the equivalent pool wired
+// by hand — same seeds, same models — within 1% per group.
+func TestSessionMatchesHandWiredPool(t *testing.T) {
+	const images = 120
+	sess, err := New(WithImages(images), WithCPU(8), WithGPU(8), WithVPUs(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := sess.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	env := sim.NewEnv()
+	net, blob := googLeNet(t)
+	cpuEng, err := devsim.NewCPU(devsim.DefaultCPUConfig(), devsim.WorkloadOf(net), rng.New(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cpu, err := core.NewCPUTarget(cpuEng, net, 8, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gpuEng, err := devsim.NewGPU(devsim.DefaultGPUConfig(), devsim.WorkloadOf(net), rng.New(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gpu, err := core.NewGPUTarget(gpuEng, net, 8, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vpu, err := core.NewVPUTarget(wiredSticks(t, env, 4, rng.New(1)), blob, core.DefaultVPUOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool, err := core.NewPool([]core.Target{cpu, gpu, vpu}, core.PoolOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if job := runWired(t, env, pool, imagenet.DefaultConfig(), images); job.Images != images {
+		t.Errorf("hand-wired pool classified %d images, want %d", job.Images, images)
+	}
+
+	hand := pool.ChildJobs()
+	if len(rep.Targets) != len(hand) {
+		t.Fatalf("%d session groups vs %d hand-wired jobs", len(rep.Targets), len(hand))
+	}
+	for i, tr := range rep.Targets {
+		want := hand[i].Throughput()
+		if want == 0 && tr.Throughput == 0 {
+			continue
+		}
+		if diff := math.Abs(tr.Throughput-want) / want; diff > 0.01 {
+			t.Errorf("group %s throughput %.2f img/s vs hand-wired %.2f (%.2f%% apart)",
+				tr.Name, tr.Throughput, want, diff*100)
+		}
+	}
+}
+
+// googLeNet builds the session's default performance workload — the
+// GoogLeNet of the default network seed 42 and its compiled blob —
+// once per test binary.
+var googNet struct {
+	net  *nn.Graph
+	blob []byte
+}
+
+func googLeNet(t *testing.T) (*nn.Graph, []byte) {
 	t.Helper()
-	sess, err := NewFromConfig(Config{
-		Dataset: smallDataset(images),
-		Groups:  []Group{{Kind: GroupVPU, Devices: 2}},
-		Seed:    seed,
-	})
+	if googNet.net == nil {
+		net := nn.NewGoogLeNet(rng.New(42))
+		blob, err := graphfile.Compile(net)
+		if err != nil {
+			t.Fatal(err)
+		}
+		googNet.net, googNet.blob = net, blob
+	}
+	return googNet.net, googNet.blob
+}
+
+// wiredSticks assembles n sticks on the paper's Fig. 5 USB testbed in
+// env, each seeded from seed, without going through a session.
+func wiredSticks(t *testing.T, env *sim.Env, n int, seed *rng.Source) []*ncs.Device {
+	t.Helper()
+	_, ports, err := usb.Testbed(env, usb.DefaultConfig(), n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Drive the session's own pieces manually: same env, same blob,
-	// same devices — but started through the raw core API.
-	env := sess.Env()
-	target, err := core.NewVPUTarget(sess.Devices(), sess.Blob(), core.DefaultVPUOptions())
+	sticks := make([]*ncs.Device, n)
+	for i, port := range ports {
+		if sticks[i], err = ncs.NewDevice(env, port.Name(), port, ncs.DefaultConfig(), seed); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return sticks
+}
+
+// runWired drives target over the first images of a dataset built
+// from dcfg and returns its finished job.
+func runWired(t *testing.T, env *sim.Env, target core.Target, dcfg imagenet.Config, images int) *core.Job {
+	t.Helper()
+	ds, err := imagenet.New(dcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	src, err := core.NewDatasetSource(sess.Dataset(), 0, images, false)
+	src, err := core.NewDatasetSource(ds, 0, images, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	col := core.NewCollector(false)
-	job := target.Start(env, src, col.Sink())
+	job := target.Start(env, src, core.NewCollector(false).Sink())
 	env.Run()
 	if job.Err != nil {
 		t.Fatal(job.Err)
 	}
-	return job.Throughput()
+	return job
+}
+
+// handWiredVPU runs an n-stick VPU target over the default dataset's
+// first images on its own testbed, its sticks seeded from seed, and
+// returns the throughput.
+func handWiredVPU(t *testing.T, n, images int, seed *rng.Source) float64 {
+	t.Helper()
+	env := sim.NewEnv()
+	_, blob := googLeNet(t)
+	target, err := core.NewVPUTarget(wiredSticks(t, env, n, seed), blob, core.DefaultVPUOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return runWired(t, env, target, smallDataset(images), images).Throughput()
 }
 
 // TestSessionFunctionalAccuracy: a functional CPU session classifies
@@ -311,6 +468,7 @@ func TestConfigValidate(t *testing.T) {
 		{Config{Groups: []Group{{Kind: GroupCPU}}, QueueDepth: -1}, "queue_depth:"},
 		{Config{Groups: []Group{{Kind: GroupCPU}}, Hedge: core.HedgeConfig{Trigger: time.Second}}, "hedge:"},
 		{Config{Groups: []Group{{Kind: GroupCPU}}, BatchMaxWait: -1}, "batch_max_wait:"},
+		{Config{Groups: []Group{{Kind: GroupCPU}, {Kind: GroupCustom, Target: &stubStageTarget{}, SeedLabel: "x"}}}, "groups[1].seed_label: group 1"},
 	}
 	for i, c := range cases {
 		if err := c.cfg.Validate(); err == nil || !strings.HasPrefix(err.Error(), c.want) {

@@ -27,8 +27,8 @@
 //	report, _ := sess.Run()
 //	fmt.Print(report) // per-group and aggregate throughput, img/W, accuracy
 //
-// The paper's Listing-1 NCAPI workflow remains available for
-// hand-wired sessions:
+// The paper's Listing-1 NCAPI workflow drives sticks directly, on a
+// testbed from NewNCSTestbed:
 //
 //	env := repro.NewEnv()
 //	devices, _ := repro.NewNCSTestbed(env, 1, repro.Seed(1))
@@ -56,7 +56,6 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/core"
-	"repro/internal/devsim"
 	"repro/internal/fault"
 	"repro/internal/graphfile"
 	"repro/internal/imagenet"
@@ -177,10 +176,9 @@ func DefaultVPUConfig() VPUConfig { return vpu.DefaultConfig() }
 
 // NewNCSTestbed assembles n Neural Compute Sticks on the paper's
 // Fig. 5 USB topology (two sticks on motherboard ports, the rest
-// behind two USB 3.0 hubs) inside env.
-//
-// Deprecated: NewSession(WithVPUs(n)) owns testbed assembly; use this
-// only for hand-wired NCAPI experiments.
+// behind two USB 3.0 hubs) inside env — the entry point of the
+// Listing-1 NCAPI workflow. Sessions (NewSession(WithVPUs(n))) assemble
+// their own testbed.
 func NewNCSTestbed(env *Env, n int, seed *Rand) ([]*NCSDevice, error) {
 	_, ports, err := usb.Testbed(env, usb.DefaultConfig(), n)
 	if err != nil {
@@ -581,15 +579,6 @@ func WithGPU(batch int) SessionOption { return pipeline.WithGPU(batch) }
 // parallel NCSw pipeline.
 func WithVPUs(n int) SessionOption { return pipeline.WithVPUs(n) }
 
-// WithVPUOptions adds a VPU group with explicit pipeline options
-// (scheduling, overlap, host overhead).
-//
-// Deprecated: use WithGroup(DeviceGroup{Kind: VPUGroup, Devices: n,
-// VPUOptions: &opts}) — or, in a split session, a StageConfig whose
-// Group carries the options. The group/stage structs subsume this
-// wrapper; it remains for compatibility.
-func WithVPUOptions(n int, opts VPUOptions) SessionOption { return pipeline.WithVPUOptions(n, opts) }
-
 // WithTarget adds a custom Target as its own device group.
 func WithTarget(t Target) SessionOption { return pipeline.WithTarget(t) }
 
@@ -725,47 +714,6 @@ func NewCollector(retain bool) *Collector { return core.NewCollector(retain) }
 
 // DefaultVPUOptions returns the paper-faithful multi-VPU settings.
 func DefaultVPUOptions() VPUOptions { return core.DefaultVPUOptions() }
-
-// NewVPUTarget builds the parallel multi-VPU target over devices.
-//
-// Deprecated: NewSession(WithVPUs(n)) builds and runs this target;
-// use this only when hand-wiring targets to sources.
-func NewVPUTarget(devices []*NCSDevice, blob []byte, opts VPUOptions) (*VPUTarget, error) {
-	return core.NewVPUTarget(devices, blob, opts)
-}
-
-// NewCPUTarget builds the Caffe-MKL-style CPU target for the graph's
-// workload at the given batch size.
-//
-// Deprecated: NewSession(WithCPU(batch)) builds and runs this target;
-// use this only when hand-wiring targets to sources.
-func NewCPUTarget(g *Graph, batch int, functional bool, seed *Rand) (*BatchTarget, error) {
-	eng, err := devsim.NewCPU(devsim.DefaultCPUConfig(), devsim.WorkloadOf(g), seed)
-	if err != nil {
-		return nil, err
-	}
-	return core.NewCPUTarget(eng, g, batch, functional)
-}
-
-// NewGPUTarget builds the Caffe-cuDNN-style GPU target.
-//
-// Deprecated: NewSession(WithGPU(batch)) builds and runs this target;
-// use this only when hand-wiring targets to sources.
-func NewGPUTarget(g *Graph, batch int, functional bool, seed *Rand) (*BatchTarget, error) {
-	eng, err := devsim.NewGPU(devsim.DefaultGPUConfig(), devsim.WorkloadOf(g), seed)
-	if err != nil {
-		return nil, err
-	}
-	return core.NewGPUTarget(eng, g, batch, functional)
-}
-
-// NewDatasetSource serves images [lo, hi) of a synthetic dataset.
-//
-// Deprecated: sessions build their own dataset source (WithImages);
-// use this only when hand-wiring targets to sources.
-func NewDatasetSource(ds *Dataset, lo, hi int, functional bool) (Source, error) {
-	return core.NewDatasetSource(ds, lo, hi, functional)
-}
 
 // NewStreamSource creates a push-style source with the given buffer
 // capacity (0 = unbounded).

@@ -63,46 +63,33 @@ func TestFacadeListing1(t *testing.T) {
 }
 
 // TestFacadeNCSwRun drives the framework layer through the facade:
-// a CPU target and a dataset source.
+// a CPU session over a 64-image dataset.
 func TestFacadeNCSwRun(t *testing.T) {
-	net := NewGoogLeNet(Seed(1))
-	cpu, err := NewCPUTarget(net, 8, false, Seed(2))
-	if err != nil {
-		t.Fatal(err)
-	}
 	cfg := DefaultDatasetConfig()
 	cfg.Images = 64
-	ds, err := NewDataset(cfg)
+	sess, err := NewSession(WithDataset(cfg), WithCPU(8), WithSeed(2), WithNetSeed(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	src, err := NewDatasetSource(ds, 0, 64, false)
+	rep, err := sess.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	env := NewEnv()
-	col := NewCollector(false)
-	job := cpu.Start(env, src, col.Sink())
-	env.Run()
-	if job.Err != nil {
-		t.Fatal(job.Err)
+	if rep.Images != 64 || rep.Collector.N != 64 {
+		t.Errorf("images = %d / %d", rep.Images, rep.Collector.N)
 	}
-	if job.Images != 64 || col.N != 64 {
-		t.Errorf("images = %d / %d", job.Images, col.N)
-	}
-	if ips := job.Throughput(); ips < 40 || ips > 48 {
+	if ips := rep.Throughput; ips < 40 || ips > 48 {
 		t.Errorf("CPU throughput = %.1f img/s, expected ~44", ips)
 	}
 }
 
 func TestFacadeGPUTarget(t *testing.T) {
-	net := NewGoogLeNet(Seed(1))
-	gpu, err := NewGPUTarget(net, 8, false, Seed(2))
+	sess, err := NewSession(WithGPU(8), WithSeed(2), WithNetSeed(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gpu.TDPWatts() != 80 {
-		t.Errorf("GPU TDP = %g", gpu.TDPWatts())
+	if tdp := sess.Targets()[0].TDPWatts(); tdp != 80 {
+		t.Errorf("GPU TDP = %g", tdp)
 	}
 }
 

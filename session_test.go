@@ -1,7 +1,6 @@
 package repro
 
 import (
-	"math"
 	"testing"
 	"time"
 )
@@ -66,11 +65,11 @@ func TestSessionCustomTarget(t *testing.T) {
 	}
 }
 
-// TestSessionAcceptance is the issue's acceptance scenario: a
-// heterogeneous session (CPU + GPU + 4 VPUs over one dataset source)
-// in under 10 lines of user code must classify every item exactly
-// once, with per-target throughputs matching the equivalent
-// hand-wired setup within 1%.
+// TestSessionAcceptance: a heterogeneous session (CPU + GPU + 4 VPUs
+// over one dataset source) in under 10 lines of user code must
+// classify every item exactly once. internal/pipeline's
+// TestSessionMatchesHandWiredPool holds the same session to the
+// equivalent hand-wired pool within 1% per group.
 func TestSessionAcceptance(t *testing.T) {
 	const images = 120
 
@@ -104,117 +103,6 @@ func TestSessionAcceptance(t *testing.T) {
 	for idx, n := range seen {
 		if n != 1 {
 			t.Errorf("item %d classified %d times", idx, n)
-		}
-	}
-
-	// The equivalent hand-wired setup: same seeds, same models, same
-	// pool — built through the pre-session constructors.
-	env := NewEnv()
-	net := NewGoogLeNet(Seed(42))
-	blob, err := CompileGraph(net)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sticks, err := NewNCSTestbed(env, 4, Seed(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cpu, err := NewCPUTarget(net, 8, false, Seed(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	gpu, err := NewGPUTarget(net, 8, false, Seed(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	vpu, err := NewVPUTarget(sticks, blob, DefaultVPUOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool, err := NewPool([]Target{cpu, gpu, vpu}, PoolOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ds, err := NewDataset(DefaultDatasetConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	src, err := NewDatasetSource(ds, 0, images, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	col := NewCollector(false)
-	job := pool.Start(env, src, col.Sink())
-	env.Run()
-	if job.Err != nil {
-		t.Fatal(job.Err)
-	}
-	if job.Images != images {
-		t.Errorf("hand-wired pool classified %d images, want %d", job.Images, images)
-	}
-
-	// Per-target throughputs within 1% of the hand-wired run.
-	hand := pool.ChildJobs()
-	if len(rep.Targets) != len(hand) {
-		t.Fatalf("%d session groups vs %d hand-wired jobs", len(rep.Targets), len(hand))
-	}
-	for i, tr := range rep.Targets {
-		want := hand[i].Throughput()
-		if want == 0 && tr.Throughput == 0 {
-			continue
-		}
-		if diff := math.Abs(tr.Throughput-want) / want; diff > 0.01 {
-			t.Errorf("group %s throughput %.2f img/s vs hand-wired %.2f (%.2f%% apart)",
-				tr.Name, tr.Throughput, want, diff*100)
-		}
-	}
-}
-
-// TestSessionVPUScalingMatchesTarget: a single-group session must
-// reproduce the hand-wired multi-VPU numbers exactly — the session
-// layer adds no timing overhead.
-func TestSessionVPUScalingMatchesTarget(t *testing.T) {
-	const images = 100
-	for _, n := range []int{1, 2} {
-		sess, err := NewSession(WithImages(images), WithVPUs(n), WithSeed(7))
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep, err := sess.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		env := NewEnv()
-		sticks, err := NewNCSTestbed(env, n, Seed(7))
-		if err != nil {
-			t.Fatal(err)
-		}
-		net := NewGoogLeNet(Seed(42))
-		blob, err := CompileGraph(net)
-		if err != nil {
-			t.Fatal(err)
-		}
-		target, err := NewVPUTarget(sticks, blob, DefaultVPUOptions())
-		if err != nil {
-			t.Fatal(err)
-		}
-		ds, err := NewDataset(DefaultDatasetConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
-		src, err := NewDatasetSource(ds, 0, images, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		col := NewCollector(false)
-		job := target.Start(env, src, col.Sink())
-		env.Run()
-		if job.Err != nil {
-			t.Fatal(job.Err)
-		}
-		if got, want := rep.Throughput, job.Throughput(); got != want {
-			t.Errorf("%d sticks: session %.4f img/s != hand-wired %.4f", n, got, want)
 		}
 	}
 }
