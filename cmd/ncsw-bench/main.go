@@ -105,8 +105,32 @@ func main() {
 		}()
 	}
 
+	// modes are the single-experiment flags: each runs its experiment's
+	// table, or with -json emits its points. Apart from the kernel
+	// microbenchmarks' wall-clock numbers, the points are simulated, so
+	// two emissions at the same seed are byte-identical.
+	modes := []struct {
+		on     bool
+		id     string
+		points func(*repro.Benchmarks) (any, error)
+	}{
+		{*serve, "serving", func(h *repro.Benchmarks) (any, error) { return h.ServingPoints() }},
+		{*slo, "slo", func(h *repro.Benchmarks) (any, error) { return h.SLOPoints() }},
+		{*faults, "resilience", func(h *repro.Benchmarks) (any, error) { return h.ResiliencePoints() }},
+		{*hedge, "hedge", func(h *repro.Benchmarks) (any, error) { return h.HedgePoints() }},
+		{*kernel, "kernel", func(h *repro.Benchmarks) (any, error) { return h.KernelPoints() }},
+		{*split, "split", func(h *repro.Benchmarks) (any, error) { return h.SplitPoints() }},
+		{*tenants, "tenants", func(h *repro.Benchmarks) (any, error) { return h.TenantPoints() }},
+	}
+	nModes, mode := 0, -1
+	for i, m := range modes {
+		if m.on {
+			nModes, mode = nModes+1, i
+		}
+	}
+
 	if *scenarioPath != "" {
-		if *hetero || *serve || *slo || *faults || *hedge || *kernel || *split || *tenants || *experiment != "all" {
+		if *hetero || nModes > 0 || *experiment != "all" {
 			log.Fatal("-scenario replays scenario files on their own terms (drop the other mode flags)")
 		}
 		runScenarios(*scenarioPath, *jsonOut)
@@ -143,71 +167,28 @@ func main() {
 
 	ids := repro.ExperimentIDs()
 	if *experiment != "all" {
-		if *serve || *slo || *faults || *hedge || *kernel || *split || *tenants {
+		if nModes > 0 {
 			log.Fatal("-serve/-slo/-faults/-hedge/-kernel/-split/-tenants and -experiment are mutually exclusive (use -experiment serving,slo,resilience,hedge,kernel,split,tenants to mix)")
 		}
 		ids = strings.Split(*experiment, ",")
 	}
-	modes := 0
-	for _, on := range []bool{*serve, *slo, *faults, *hedge, *kernel, *split, *tenants} {
-		if on {
-			modes++
-		}
-	}
-	if modes > 1 {
+	if nModes > 1 {
 		log.Fatal("-serve, -slo, -faults, -hedge, -kernel, -split and -tenants are mutually exclusive")
 	}
-	if *jsonOut && modes == 0 {
+	if *jsonOut && nModes == 0 {
 		log.Fatal("-json requires -serve, -slo, -faults, -hedge, -kernel, -split or -tenants (only their points have a JSON form)")
 	}
-	if *serve {
+	if mode >= 0 {
+		m := modes[mode]
 		if *jsonOut {
-			emitServingJSON(h)
+			points, err := m.points(h)
+			if err != nil {
+				log.Fatal(err)
+			}
+			emitJSON(m.id, points)
 			return
 		}
-		ids = []string{"serving"}
-	}
-	if *slo {
-		if *jsonOut {
-			emitSLOJSON(h)
-			return
-		}
-		ids = []string{"slo"}
-	}
-	if *faults {
-		if *jsonOut {
-			emitResilienceJSON(h)
-			return
-		}
-		ids = []string{"resilience"}
-	}
-	if *hedge {
-		if *jsonOut {
-			emitHedgeJSON(h)
-			return
-		}
-		ids = []string{"hedge"}
-	}
-	if *kernel {
-		if *jsonOut {
-			emitKernelJSON(h)
-			return
-		}
-		ids = []string{"kernel"}
-	}
-	if *split {
-		if *jsonOut {
-			emitSplitJSON(h)
-			return
-		}
-		ids = []string{"split"}
-	}
-	if *tenants {
-		if *jsonOut {
-			emitTenantsJSON(h)
-			return
-		}
-		ids = []string{"tenants"}
+		ids = []string{m.id}
 	}
 	for _, id := range ids {
 		start := time.Now()
@@ -224,12 +205,6 @@ func main() {
 	}
 }
 
-// emitServingJSON runs the serving experiment and emits the
-// machine-readable points (per device group: achieved img/s and tail
-// latency per offered load) in the BENCH_PR*.json format (PR 2's
-// snapshot used this experiment; scripts/bench.sh now snapshots the
-// slo experiment). The human-readable table goes through the regular
-// experiment dispatch ("serving").
 // runScenarios replays the declarative scenario(s) at path — one
 // file, or every *.json in a directory — printing each report (or,
 // with -json, the points in the BENCH_PR*.json format). Scenario
@@ -249,14 +224,7 @@ func runScenarios(path string, jsonOut bool) {
 			}
 			points = append(points, res.Point())
 		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(struct {
-			Experiment string                `json:"experiment"`
-			Points     []repro.ScenarioPoint `json:"points"`
-		}{Experiment: "scenarios", Points: points}); err != nil {
-			log.Fatal(err)
-		}
+		emitJSON("scenarios", points)
 		return
 	}
 	for _, sc := range scs {
@@ -270,140 +238,15 @@ func runScenarios(path string, jsonOut bool) {
 	}
 }
 
-func emitServingJSON(h *repro.Benchmarks) {
-	points, err := h.ServingPoints()
-	if err != nil {
-		log.Fatal(err)
-	}
+// emitJSON writes an experiment's points to stdout in the
+// BENCH_PR*.json format: {"experiment": ..., "points": [...]}.
+func emitJSON(experiment string, points any) {
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(struct {
-		Experiment string               `json:"experiment"`
-		Points     []repro.ServingPoint `json:"points"`
-	}{Experiment: "serving", Points: points}); err != nil {
-		log.Fatal(err)
-	}
-}
-
-// emitSLOJSON runs the slo experiment and emits the machine-readable
-// points (per device group and serving-edge variant: goodput, shed
-// rate and tail latency per offered load) that scripts/bench.sh
-// stores as the current PR's BENCH_PR*.json snapshot.
-func emitSLOJSON(h *repro.Benchmarks) {
-	points, err := h.SLOPoints()
-	if err != nil {
-		log.Fatal(err)
-	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(struct {
-		Experiment string           `json:"experiment"`
-		Points     []repro.SLOPoint `json:"points"`
-	}{Experiment: "slo", Points: points}); err != nil {
-		log.Fatal(err)
-	}
-}
-
-// emitResilienceJSON runs the resilience experiment and emits the
-// machine-readable points (per configuration and fault level: goodput,
-// tail latency, retries, drops, outages, MTTR and uptime for the
-// self-healing and fail-stop policies) that scripts/bench.sh stores as
-// the current PR's BENCH_PR*.json snapshot.
-func emitResilienceJSON(h *repro.Benchmarks) {
-	points, err := h.ResiliencePoints()
-	if err != nil {
-		log.Fatal(err)
-	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(struct {
-		Experiment string                  `json:"experiment"`
-		Points     []repro.ResiliencePoint `json:"points"`
-	}{Experiment: "resilience", Points: points}); err != nil {
-		log.Fatal(err)
-	}
-}
-
-// emitHedgeJSON runs the hedge experiment and emits the
-// machine-readable points (per configuration, fault level and hedge
-// variant: p99, goodput, hedge volume and waste) that scripts/bench.sh
-// stores as the current PR's BENCH_PR*.json snapshot.
-func emitHedgeJSON(h *repro.Benchmarks) {
-	points, err := h.HedgePoints()
-	if err != nil {
-		log.Fatal(err)
-	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(struct {
-		Experiment string             `json:"experiment"`
-		Points     []repro.HedgePoint `json:"points"`
-	}{Experiment: "hedge", Points: points}); err != nil {
-		log.Fatal(err)
-	}
-}
-
-// emitKernelJSON runs the simulation-kernel microbenchmarks and emits
-// the machine-readable points (per hot path: measured ops/sec and
-// exact allocs/op next to the committed pre-rewrite baseline) that
-// scripts/bench.sh stores as the current PR's BENCH_PR*.json snapshot.
-// Unlike the simulated experiments these are wall-clock numbers: two
-// emissions differ, and cross-machine comparisons are apples to
-// oranges — the committed snapshot documents one machine's
-// before/after.
-func emitKernelJSON(h *repro.Benchmarks) {
-	points, err := h.KernelPoints()
-	if err != nil {
-		log.Fatal(err)
-	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(struct {
-		Experiment string              `json:"experiment"`
-		Points     []repro.KernelPoint `json:"points"`
-	}{Experiment: "kernel", Points: points}); err != nil {
-		log.Fatal(err)
-	}
-}
-
-// emitSplitJSON runs the split-inference experiment and emits the
-// machine-readable points (per partition point and boundary window:
-// pipeline throughput and tail latency against the whole-inference
-// baselines at equal fleet) that scripts/bench.sh stores as the
-// current PR's BENCH_PR*.json snapshot. Fully simulated: two
-// emissions at the same seed are byte-identical.
-func emitSplitJSON(h *repro.Benchmarks) {
-	points, err := h.SplitPoints()
-	if err != nil {
-		log.Fatal(err)
-	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(struct {
-		Experiment string             `json:"experiment"`
-		Points     []repro.SplitPoint `json:"points"`
-	}{Experiment: "split", Points: points}); err != nil {
-		log.Fatal(err)
-	}
-}
-
-// emitTenantsJSON runs the multi-tenant experiment and emits the
-// machine-readable points (per scheduler, aggregate load and tenant:
-// offered vs achieved rate, tails, goodput against the tenant's own
-// SLO, and shed/expired/quota drops) that scripts/bench.sh stores as
-// the current PR's BENCH_PR*.json snapshot. Fully simulated: two
-// emissions at the same seed are byte-identical.
-func emitTenantsJSON(h *repro.Benchmarks) {
-	points, err := h.TenantPoints()
-	if err != nil {
-		log.Fatal(err)
-	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(struct {
-		Experiment string              `json:"experiment"`
-		Points     []repro.TenantPoint `json:"points"`
-	}{Experiment: "tenants", Points: points}); err != nil {
+		Experiment string `json:"experiment"`
+		Points     any    `json:"points"`
+	}{Experiment: experiment, Points: points}); err != nil {
 		log.Fatal(err)
 	}
 }

@@ -137,16 +137,17 @@ func (t *Table) Markdown() string {
 	return b.String()
 }
 
-// Harness caches the expensive shared artefacts (the GoogLeNet graph,
-// its compiled blob, the micro network) across experiments.
+// Harness caches the expensive shared artefacts (the GoogLeNet graph
+// and its compiled blob, which every session reuses) across
+// experiments.
 type Harness struct {
 	cfg  Config
 	goog *nn.Graph
 	blob []byte
-	// capCache memoizes the deterministic closed-loop capacity probes
-	// shared by the resilience and hedge experiments (keyed by
-	// config/images; see resilienceCapacity).
-	capCache map[string]any
+	// probes memoizes the closed-loop capacity probes by experiment,
+	// configuration and image count ("serving/vpu-4/400"): serving and
+	// slo share theirs, as do resilience and hedge (see capacity).
+	probes map[string]probe
 }
 
 // NewHarness validates cfg and builds the shared artefacts.

@@ -5,9 +5,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/fault"
-	"repro/internal/rng"
-	"repro/internal/sim"
 )
 
 // The hedge experiment measures what speculative hedged requests buy
@@ -114,29 +111,24 @@ func hedgeVariants(unit time.Duration) []hedgeVariant {
 
 // HedgePoints runs the hedge experiment.
 func (h *Harness) HedgePoints() ([]HedgePoint, error) {
-	images := resilienceWindowScale * h.cfg.ImagesPerSubset
 	var points []HedgePoint
 	for _, cfg := range resilienceConfigs() {
-		capacity, ready, err := h.resilienceCapacity(cfg, images)
+		cells, err := h.faultCells(cfg)
 		if err != nil {
 			return nil, fmt.Errorf("bench: hedge capacity %s: %w", cfg.name, err)
 		}
-		slo := time.Duration(sloServiceMultiple * float64(cfg.sticks) / capacity * float64(time.Second))
-		unit := time.Duration(float64(cfg.sticks) / capacity * float64(time.Second))
 		points = append(points, HedgePoint{
 			Config:      cfg.name,
 			Faults:      "probe",
 			Hedge:       "probe",
-			AchievedIPS: round2(capacity),
-			SLOMS:       round2(slo.Seconds() * 1e3),
+			AchievedIPS: round2(cells[0].capacity),
+			SLOMS:       round2(cells[0].slo.Seconds() * 1e3),
 		})
-		rate := capacity * resilienceLoad
-		window := time.Duration(float64(images) / rate * float64(time.Second))
-		for _, level := range resilienceLevels() {
-			for _, v := range hedgeVariants(unit) {
-				pt, err := h.hedgePoint(cfg, level, v, images, rate, ready, window, slo)
+		for _, c := range cells {
+			for _, v := range hedgeVariants(c.unit) {
+				pt, err := h.hedgePoint(c, v)
 				if err != nil {
-					return nil, fmt.Errorf("bench: hedge %s %s/%s: %w", cfg.name, level.name, v.name, err)
+					return nil, fmt.Errorf("bench: hedge %s %s/%s: %w", cfg.name, c.level.name, v.name, err)
 				}
 				points = append(points, pt)
 			}
@@ -145,94 +137,41 @@ func (h *Harness) HedgePoints() ([]HedgePoint, error) {
 	return points, nil
 }
 
-// hedgePoint measures one (configuration, level, variant) cell. The
-// run seed depends only on (config, level): every hedge variant of a
-// cell faces identical device jitter, arrivals and faults.
-func (h *Harness) hedgePoint(cfg resilienceConfig, level resilienceLevel, v hedgeVariant, images int, rate float64, ready time.Duration, window, slo time.Duration) (HedgePoint, error) {
-	env := sim.NewEnv()
-	col := core.NewCollector(false)
-	col.SetSLO(slo)
-	// hedgedPool is assigned once the target is built; for the pooled
-	// configuration the drop hook consults its hedge state so a lost
-	// duplicate is not miscounted as a loss.
-	var hedgedPool *core.Pool
+// hedgePoint measures one (cell, variant) point under self-healing
+// recovery.
+func (h *Harness) hedgePoint(c faultCell, v hedgeVariant) (HedgePoint, error) {
 	rc := core.RecoveryConfig{
 		Timeout:     resilienceTimeout,
 		Recover:     true,
 		MaxAttempts: resilienceAttempts,
-		OnRetry:     func(core.Item, time.Duration) { col.NoteRetry() },
-		OnDrop: func(item core.Item, _ time.Duration) {
-			if hedgedPool != nil && !hedgedPool.HedgeItemLost(item.Index) {
-				return
-			}
-			col.NoteDrop(core.DropFailed)
-		},
-		OnOutage: func(_ string, from, to time.Duration, rec bool) { col.NoteOutage(from, to, rec) },
 	}
-	hc := v.hc
-	hc.OnHedge = func(core.Item, int, time.Duration) { col.NoteHedge() }
-	hc.OnWin = func(core.Item, int, time.Duration) { col.NoteHedgeWin() }
-	hc.OnWaste = func(core.Item, int, time.Duration) { col.NoteHedgeWaste() }
-	runName := level.name
-	target, devices, err := h.resilienceTarget(env, cfg, runName, rc, hc)
+	rep, injected, err := h.runFaultCell(c, rc, v.hc)
 	if err != nil {
 		return HedgePoint{}, err
 	}
-	hedgedPool, _ = target.(*core.Pool)
-	names := make([]string, len(devices))
-	reg := fault.Registry{}
-	for i, d := range devices {
-		names[i] = d.Name()
-		reg.Add(d.Name(), d)
-	}
-	plan := level.plan(ready, window, names)
-	log, err := fault.Apply(env, plan, rng.New(h.cfg.Seed).Derive("resilience/faults/"+cfg.name+"/"+runName), reg, nil)
-	if err != nil {
-		return HedgePoint{}, err
-	}
-	ds, err := h.perfDatasetSized(images)
-	if err != nil {
-		return HedgePoint{}, err
-	}
-	src, err := core.NewDatasetSource(ds, 0, images, false)
-	if err != nil {
-		return HedgePoint{}, err
-	}
-	arr := core.DelayedArrivals(core.PoissonArrivals(rate), ready)
-	asrc, err := core.NewArrivalSource(env, src, arr,
-		rng.New(h.cfg.Seed).Derive("resilience/"+cfg.name+"/"+runName))
-	if err != nil {
-		return HedgePoint{}, err
-	}
-	job := target.Start(env, asrc, col.Sink())
-	env.Run()
-	if job.Err != nil {
-		return HedgePoint{}, job.Err
-	}
-	lat := col.Latency()
 	ms := func(d time.Duration) float64 { return round2(d.Seconds() * 1e3) }
 	triggerMS := 0.0
 	if v.hc.Trigger > 0 && v.hc.Trigger != core.HedgeNever {
-		triggerMS = round2(v.hc.Trigger.Seconds() * 1e3)
+		triggerMS = ms(v.hc.Trigger)
 	}
 	return HedgePoint{
-		Config:      cfg.name,
-		Faults:      level.name,
+		Config:      c.cfg.name,
+		Faults:      c.level.name,
 		Hedge:       v.name,
 		TriggerMS:   triggerMS,
-		Injected:    log.Count(),
-		OfferedIPS:  round2(rate),
-		AchievedIPS: round2(job.Throughput()),
-		SLOMS:       round2(slo.Seconds() * 1e3),
-		GoodputPct:  round2(col.Goodput() * 100),
-		P50MS:       ms(lat.P50),
-		P99MS:       ms(lat.P99),
-		Hedged:      col.Hedged,
-		HedgeWins:   col.HedgeWins,
-		HedgeWaste:  col.HedgeWaste,
-		WastePct:    round2(col.HedgeWasteRate() * 100),
-		Retries:     col.Retries,
-		FaultDrops:  col.FaultDrops,
+		Injected:    injected,
+		OfferedIPS:  round2(c.rate),
+		AchievedIPS: round2(rep.Throughput),
+		SLOMS:       ms(c.slo),
+		GoodputPct:  round2(rep.Goodput * 100),
+		P50MS:       ms(rep.Latency.P50),
+		P99MS:       ms(rep.Latency.P99),
+		Hedged:      rep.Hedged,
+		HedgeWins:   rep.HedgeWins,
+		HedgeWaste:  rep.HedgeWaste,
+		WastePct:    round2(rep.HedgeWasteRate * 100),
+		Retries:     rep.Retries,
+		FaultDrops:  rep.FaultDrops,
 	}, nil
 }
 

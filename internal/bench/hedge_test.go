@@ -3,7 +3,6 @@ package bench
 import (
 	"reflect"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 )
@@ -113,27 +112,25 @@ func TestDynamicBudgetSuppressesHedgeStorm(t *testing.T) {
 	if !cfg.pooled {
 		t.Fatalf("expected the pooled config, got %+v", cfg)
 	}
-	images := resilienceWindowScale * h.cfg.ImagesPerSubset
-	capacity, ready, err := h.resilienceCapacity(cfg, images)
+	cells, err := h.faultCells(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	slo := time.Duration(sloServiceMultiple * float64(cfg.sticks) / capacity * float64(time.Second))
-	unit := time.Duration(float64(cfg.sticks) / capacity * float64(time.Second))
-	rate := capacity * resilienceLoad
-	window := time.Duration(float64(images) / rate * float64(time.Second))
-	level := resilienceLevels()[0] // "none": the storm needs no fault to collapse a healthy fleet
+	c := cells[0] // "none": the storm needs no fault to collapse a healthy fleet
+	if c.level.name != "none" {
+		t.Fatalf("expected the fault-free cell, got %q", c.level.name)
+	}
 	run := func(name string, hc core.HedgeConfig) HedgePoint {
 		t.Helper()
-		pt, err := h.hedgePoint(cfg, level, hedgeVariant{name: name, hc: hc}, images, rate, ready, window, slo)
+		pt, err := h.hedgePoint(c, hedgeVariant{name: name, hc: hc})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return pt
 	}
 	off := run("off", core.HedgeConfig{})
-	storm := run("storm", core.HedgeConfig{Trigger: 2 * unit})
-	dyn := run("dyn", core.HedgeConfig{Trigger: 2 * unit, Budget: hedgeBudget, DynamicBudget: true})
+	storm := run("storm", core.HedgeConfig{Trigger: 2 * c.unit})
+	dyn := run("dyn", core.HedgeConfig{Trigger: 2 * c.unit, Budget: hedgeBudget, DynamicBudget: true})
 	if storm.GoodputPct > 0.7*off.GoodputPct {
 		t.Errorf("budgetless 2x trigger no longer storms (goodput %.1f%% vs %.1f%% unhedged) — this regression gate is measuring nothing",
 			storm.GoodputPct, off.GoodputPct)

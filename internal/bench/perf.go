@@ -71,6 +71,32 @@ func (h *Harness) standardRun(g pipeline.Group, images int) pipeline.Config {
 	}
 }
 
+// probe is a closed-loop capacity measurement: the steady-state
+// throughput open-loop loads are fractions of, and the setup time
+// (Job.ReadyAt) their arrivals are delayed past.
+type probe struct {
+	capacity float64
+	ready    time.Duration
+}
+
+// capacity runs scfg closed-loop and returns its probe, memoized under
+// key: probes are deterministic, so an all-experiments run pays each
+// one once.
+func (h *Harness) capacity(key string, scfg pipeline.Config) (probe, error) {
+	if p, ok := h.probes[key]; ok {
+		return p, nil
+	}
+	rep, _, err := runSession(scfg)
+	if err != nil {
+		return probe{}, err
+	}
+	if h.probes == nil {
+		h.probes = map[string]probe{}
+	}
+	h.probes[key] = probe{capacity: rep.Throughput, ready: rep.Job.ReadyAt}
+	return h.probes[key], nil
+}
+
 // runSession builds and runs one session, returning the session too
 // so callers can inspect its targets afterwards.
 func runSession(cfg pipeline.Config) (*pipeline.Report, *pipeline.Session, error) {

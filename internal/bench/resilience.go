@@ -6,10 +6,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fault"
-	"repro/internal/ncs"
+	"repro/internal/pipeline"
 	"repro/internal/rng"
-	"repro/internal/sim"
-	"repro/internal/usb"
 )
 
 // The resilience experiment measures serving dependability under
@@ -156,35 +154,31 @@ func resilienceLevels() []resilienceLevel {
 
 // ResiliencePoints runs the resilience experiment.
 func (h *Harness) ResiliencePoints() ([]ResiliencePoint, error) {
-	images := resilienceWindowScale * h.cfg.ImagesPerSubset
 	var points []ResiliencePoint
 	for _, cfg := range resilienceConfigs() {
-		capacity, ready, err := h.resilienceCapacity(cfg, images)
+		cells, err := h.faultCells(cfg)
 		if err != nil {
 			return nil, fmt.Errorf("bench: resilience capacity %s: %w", cfg.name, err)
 		}
-		slo := time.Duration(sloServiceMultiple * float64(cfg.sticks) / capacity * float64(time.Second))
 		points = append(points, ResiliencePoint{
 			Config:      cfg.name,
 			Recovery:    "probe",
 			Faults:      "probe",
-			AchievedIPS: round2(capacity),
-			SLOMS:       round2(slo.Seconds() * 1e3),
+			AchievedIPS: round2(cells[0].capacity),
+			SLOMS:       round2(cells[0].slo.Seconds() * 1e3),
 			UptimePct:   100,
 		})
-		rate := capacity * resilienceLoad
-		window := time.Duration(float64(images) / rate * float64(time.Second))
-		for _, level := range resilienceLevels() {
+		for _, c := range cells {
 			policies := []string{"fail-stop", "recovery"}
-			if level.name == "none" {
+			if c.level.name == "none" {
 				// The unmonitored control: the empty-plan rows of both
 				// policies must match it bit for bit.
 				policies = append([]string{"none"}, policies...)
 			}
 			for _, policy := range policies {
-				pt, err := h.resiliencePoint(cfg, level, policy, images, rate, ready, window, slo)
+				pt, err := h.resiliencePoint(c, policy)
 				if err != nil {
-					return nil, fmt.Errorf("bench: resilience %s %s/%s: %w", cfg.name, level.name, policy, err)
+					return nil, fmt.Errorf("bench: resilience %s %s/%s: %w", cfg.name, c.level.name, policy, err)
 				}
 				points = append(points, pt)
 			}
@@ -193,167 +187,155 @@ func (h *Harness) ResiliencePoints() ([]ResiliencePoint, error) {
 	return points, nil
 }
 
-// resilienceCapacity probes a configuration's closed-loop throughput
-// and setup time, fault-free and unmonitored. The probe is
-// deterministic and shared by the resilience and hedge experiments,
-// so the result is memoized per (config, images) on the harness — an
-// all-experiments run pays each full closed-loop simulation once.
-func (h *Harness) resilienceCapacity(cfg resilienceConfig, images int) (float64, time.Duration, error) {
-	type probe struct {
-		capacity float64
-		ready    time.Duration
-	}
-	key := fmt.Sprintf("%s/%d", cfg.name, images)
-	if h.capCache == nil {
-		h.capCache = map[string]any{}
-	}
-	if p, ok := h.capCache[key]; ok {
-		pr := p.(probe)
-		return pr.capacity, pr.ready, nil
-	}
-	env := sim.NewEnv()
-	target, _, err := h.resilienceTarget(env, cfg, "capacity", core.RecoveryConfig{}, core.HedgeConfig{})
-	if err != nil {
-		return 0, 0, err
-	}
-	ds, err := h.perfDatasetSized(images)
-	if err != nil {
-		return 0, 0, err
-	}
-	src, err := core.NewDatasetSource(ds, 0, images, false)
-	if err != nil {
-		return 0, 0, err
-	}
-	job := target.Start(env, src, func(core.Result) {})
-	env.Run()
-	if job.Err != nil {
-		return 0, 0, job.Err
-	}
-	h.capCache[key] = probe{capacity: job.Throughput(), ready: job.ReadyAt}
-	return job.Throughput(), job.ReadyAt, nil
+// faultCell is one (configuration, fault level) cell of the
+// resilience and hedge experiments: the traffic, deadline and window
+// every policy or hedge variant of the cell runs against.
+type faultCell struct {
+	cfg      resilienceConfig
+	level    resilienceLevel
+	images   int
+	capacity float64       // closed-loop throughput of the probe
+	rate     float64       // Poisson arrival rate, resilienceLoad of capacity
+	ready    time.Duration // setup time; arrivals start after it
+	window   time.Duration // expected serving window at rate
+	slo      time.Duration // per-item deadline
+	unit     time.Duration // per-stick service time at capacity
 }
 
-// resiliencePoint measures one (configuration, level, policy) cell.
-func (h *Harness) resiliencePoint(cfg resilienceConfig, level resilienceLevel, policy string, images int, rate float64, ready time.Duration, window, slo time.Duration) (ResiliencePoint, error) {
-	env := sim.NewEnv()
-	col := core.NewCollector(false)
-	col.SetSLO(slo)
+// faultCells probes a configuration's closed-loop capacity, fault-free
+// and unmonitored, and derives one cell per fault level from it. The
+// probe is shared by the resilience and hedge experiments (memoized on
+// the harness).
+func (h *Harness) faultCells(cfg resilienceConfig) ([]faultCell, error) {
+	images := resilienceWindowScale * h.cfg.ImagesPerSubset
+	p, err := h.capacity(fmt.Sprintf("resilience/%s/%d", cfg.name, images),
+		h.resilienceRun(cfg, "capacity", images))
+	if err != nil {
+		return nil, err
+	}
+	unit := time.Duration(float64(cfg.sticks) / p.capacity * float64(time.Second))
+	rate := p.capacity * resilienceLoad
+	var cells []faultCell
+	for _, level := range resilienceLevels() {
+		cells = append(cells, faultCell{
+			cfg:      cfg,
+			level:    level,
+			images:   images,
+			capacity: p.capacity,
+			rate:     rate,
+			ready:    p.ready,
+			window:   time.Duration(float64(images) / rate * float64(time.Second)),
+			slo:      time.Duration(sloServiceMultiple * float64(cfg.sticks) / p.capacity * float64(time.Second)),
+			unit:     unit,
+		})
+	}
+	return cells, nil
+}
+
+// resilienceRun is the session config of one run of a configuration:
+// one 4-stick VPU group, or four single-stick groups under latency
+// routing. The sticks are seeded per (config, runName), so distinct
+// cells draw independent jitter while the policies and hedge variants
+// of one cell stay identical.
+func (h *Harness) resilienceRun(cfg resilienceConfig, runName string, images int) pipeline.Config {
+	g := pipeline.Group{Kind: pipeline.GroupVPU, Devices: cfg.sticks,
+		SeedLabel: "resilience/" + cfg.name + "/run/" + runName}
+	if !cfg.pooled {
+		return h.standardRun(g, images)
+	}
+	g.Devices = 1
+	scfg := h.standardRun(g, images)
+	for range cfg.sticks - 1 {
+		scfg.Groups = append(scfg.Groups, g)
+	}
+	scfg.Routing = core.RouteLatency
+	return scfg
+}
+
+// runFaultCell runs one cell under the given recovery and hedge
+// policies: Poisson traffic past setup, the cell's fault plan, and
+// the session's own retry, drop, outage and hedge accounting. It
+// returns the report (also alongside a job error, which a fail-stop
+// abandonment produces by design) and the injected-fault count.
+//
+// The plan is applied here rather than through Config.Faults: it
+// draws from a per-cell seed ("resilience/faults/<cfg>/<level>") and
+// registers the sticks without their USB ports, so a Slowdown slows
+// the SHAVE clock alone — the choices this experiment was measured
+// and golden-pinned with. Applying it before Run keeps the fault
+// processes ahead of the arrival pump in the event order.
+func (h *Harness) runFaultCell(c faultCell, rc core.RecoveryConfig, hc core.HedgeConfig) (*pipeline.Report, int, error) {
+	// The run seed depends only on (config, level): every policy and
+	// hedge variant faces identical device jitter, arrivals and faults.
+	scfg := h.resilienceRun(c.cfg, c.level.name, c.images)
+	scfg.Arrivals = core.DelayedArrivals(core.PoissonArrivals(c.rate), c.ready)
+	scfg.ArrivalLabel = "resilience/" + c.cfg.name + "/" + c.level.name
+	scfg.SLO = c.slo
+	scfg.Recovery = rc
+	scfg.Hedge = hc
+	sess, err := pipeline.NewFromConfig(scfg)
+	if err != nil {
+		return nil, 0, err
+	}
+	names := make([]string, len(sess.Devices()))
+	reg := fault.Registry{}
+	for i, d := range sess.Devices() {
+		names[i] = d.Name()
+		reg.Add(d.Name(), d)
+	}
+	log, err := fault.Apply(sess.Env(), c.level.plan(c.ready, c.window, names),
+		rng.New(h.cfg.Seed).Derive("resilience/faults/"+c.cfg.name+"/"+c.level.name), reg, nil)
+	if err != nil {
+		return nil, 0, err
+	}
+	rep, err := sess.Run()
+	return rep, log.Count(), err
+}
+
+// resiliencePoint measures one (cell, policy) point.
+func (h *Harness) resiliencePoint(c faultCell, policy string) (ResiliencePoint, error) {
 	rc := core.RecoveryConfig{}
 	if policy != "none" {
 		rc = core.RecoveryConfig{
 			Timeout:     resilienceTimeout,
 			Recover:     policy == "recovery",
 			MaxAttempts: resilienceAttempts,
-			OnRetry:     func(core.Item, time.Duration) { col.NoteRetry() },
-			OnDrop:      func(core.Item, time.Duration) { col.NoteDrop(core.DropFailed) },
-			OnOutage:    func(_ string, from, to time.Duration, rec bool) { col.NoteOutage(from, to, rec) },
 		}
 	}
-	// The run seed depends only on (config, level): both policies face
-	// identical device jitter, identical arrivals, identical faults.
-	runName := level.name
-	target, devices, err := h.resilienceTarget(env, cfg, runName, rc, core.HedgeConfig{})
-	if err != nil {
-		return ResiliencePoint{}, err
-	}
-	names := make([]string, len(devices))
-	reg := fault.Registry{}
-	for i, d := range devices {
-		names[i] = d.Name()
-		reg.Add(d.Name(), d)
-	}
-	plan := level.plan(ready, window, names)
-	log, err := fault.Apply(env, plan, rng.New(h.cfg.Seed).Derive("resilience/faults/"+cfg.name+"/"+runName), reg, nil)
-	if err != nil {
-		return ResiliencePoint{}, err
-	}
-	ds, err := h.perfDatasetSized(images)
-	if err != nil {
-		return ResiliencePoint{}, err
-	}
-	src, err := core.NewDatasetSource(ds, 0, images, false)
-	if err != nil {
-		return ResiliencePoint{}, err
-	}
-	arr := core.DelayedArrivals(core.PoissonArrivals(rate), ready)
-	asrc, err := core.NewArrivalSource(env, src, arr,
-		rng.New(h.cfg.Seed).Derive("resilience/"+cfg.name+"/"+runName))
-	if err != nil {
-		return ResiliencePoint{}, err
-	}
-	job := target.Start(env, asrc, col.Sink())
-	env.Run()
+	rep, injected, err := h.runFaultCell(c, rc, core.HedgeConfig{})
 	// Fail-stop abandonments surface as job errors by design; the
 	// degradation is the measurement, so they do not fail the
 	// experiment — the outage/drop counters carry the story.
-	lat := col.Latency()
+	if rep == nil {
+		return ResiliencePoint{}, err
+	}
 	ms := func(d time.Duration) float64 { return round2(d.Seconds() * 1e3) }
 	uptime := 100.0
-	if span := job.Span(); span > 0 && cfg.sticks > 0 {
-		down := col.DowntimeThrough(job.DoneAt)
-		uptime = 100 * (1 - float64(down)/float64(time.Duration(cfg.sticks)*span))
+	if span := rep.Job.Span(); span > 0 && c.cfg.sticks > 0 {
+		down := rep.Collector.DowntimeThrough(rep.Job.DoneAt)
+		uptime = 100 * (1 - float64(down)/float64(time.Duration(c.cfg.sticks)*span))
 		if uptime < 0 {
 			uptime = 0
 		}
 	}
 	return ResiliencePoint{
-		Config:      cfg.name,
+		Config:      c.cfg.name,
 		Recovery:    policy,
-		Faults:      level.name,
-		Injected:    log.Count(),
-		OfferedIPS:  round2(rate),
-		AchievedIPS: round2(job.Throughput()),
-		SLOMS:       round2(slo.Seconds() * 1e3),
-		GoodputPct:  round2(col.Goodput() * 100),
-		P50MS:       ms(lat.P50),
-		P99MS:       ms(lat.P99),
-		Retries:     col.Retries,
-		FaultDrops:  col.FaultDrops,
-		Outages:     col.Outages,
-		Recovered:   col.Repaired,
-		MTTRMS:      ms(col.MTTR()),
+		Faults:      c.level.name,
+		Injected:    injected,
+		OfferedIPS:  round2(c.rate),
+		AchievedIPS: round2(rep.Throughput),
+		SLOMS:       ms(c.slo),
+		GoodputPct:  round2(rep.Goodput * 100),
+		P50MS:       ms(rep.Latency.P50),
+		P99MS:       ms(rep.Latency.P99),
+		Retries:     rep.Retries,
+		FaultDrops:  rep.FaultDrops,
+		Outages:     rep.Outages,
+		Recovered:   rep.Recovered,
+		MTTRMS:      ms(rep.MTTR),
 		UptimePct:   round2(uptime),
 	}, nil
-}
-
-// resilienceTarget builds one configuration's target and returns its
-// devices (for the fault registry). Device jitter is seeded per
-// (config, runName) so distinct cells draw independent jitter while
-// the two policies of one cell stay identical. hc arms hedged
-// requests: across sticks for the multi-stick target, across children
-// for the pool (the hedge experiment; the resilience experiment
-// passes the zero value).
-func (h *Harness) resilienceTarget(env *sim.Env, cfg resilienceConfig, runName string, rc core.RecoveryConfig, hc core.HedgeConfig) (core.Target, []*ncs.Device, error) {
-	seed := rng.New(h.cfg.Seed).Derive("resilience/" + cfg.name + "/run/" + runName)
-	_, ports, err := usb.Testbed(env, usb.DefaultConfig(), cfg.sticks)
-	if err != nil {
-		return nil, nil, err
-	}
-	devices := make([]*ncs.Device, cfg.sticks)
-	for i, port := range ports {
-		d, err := ncs.NewDevice(env, port.Name(), port, ncs.DefaultConfig(), seed)
-		if err != nil {
-			return nil, nil, err
-		}
-		devices[i] = d
-	}
-	opts := core.DefaultVPUOptions()
-	opts.Recovery = rc
-	if !cfg.pooled {
-		opts.Hedge = hc
-		t, err := core.NewVPUTarget(devices, h.blob, opts)
-		return t, devices, err
-	}
-	children := make([]core.Target, cfg.sticks)
-	for i := range children {
-		t, err := core.NewVPUTarget(devices[i:i+1], h.blob, opts)
-		if err != nil {
-			return nil, nil, err
-		}
-		children[i] = t
-	}
-	pool, err := core.NewPool(children, core.PoolOptions{Routing: core.RouteLatency, Hedge: hc})
-	return pool, devices, err
 }
 
 // Resilience renders the resilience experiment as a table: goodput

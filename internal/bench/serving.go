@@ -158,15 +158,12 @@ func (h *Harness) Serving() (*Table, error) {
 	return t, nil
 }
 
-// servingCapacity measures a configuration's closed-loop throughput
-// and setup time (Job.ReadyAt) — the normalization for offered load
-// and the arrival delay of the open-loop points.
+// servingCapacity probes a configuration's closed-loop throughput and
+// setup time, shared by the serving and slo experiments.
 func (h *Harness) servingCapacity(cfg servingConfig, images int) (float64, time.Duration, error) {
-	rep, _, err := runSession(h.standardRun(cfg.group(servingSeedLabel(cfg, "capacity")), images))
-	if err != nil {
-		return 0, 0, err
-	}
-	return rep.Throughput, rep.Targets[0].Job.ReadyAt, nil
+	p, err := h.capacity(fmt.Sprintf("serving/%s/%d", cfg.name, images),
+		h.standardRun(cfg.group(servingSeedLabel(cfg, "capacity")), images))
+	return p.capacity, p.ready, err
 }
 
 // servingSeedLabel seeds one run of a configuration, so distinct

@@ -77,40 +77,25 @@ func tenantImages(cfg Config) int {
 	return cfg.ImagesPerSubset
 }
 
-// tenantCapacity measures the fleet's closed-loop capacity and setup
-// time once (memoized like the resilience probe): the normalization
-// every offered load and SLO derives from.
+// tenantCapacity probes the fleet's closed-loop capacity and setup
+// time: the normalization every offered load and SLO derives from.
 func (h *Harness) tenantCapacity(images int) (float64, time.Duration, error) {
-	type probe struct {
-		capacity float64
-		ready    time.Duration
-	}
-	key := fmt.Sprintf("tenants/vpu-%d/%d", tenantSticks, images)
-	if h.capCache == nil {
-		h.capCache = map[string]any{}
-	}
-	if p, ok := h.capCache[key]; ok {
-		pr := p.(probe)
-		return pr.capacity, pr.ready, nil
-	}
+	p, err := h.capacity(fmt.Sprintf("tenants/vpu-%d/%d", tenantSticks, images), h.tenantRun("capacity", images))
+	return p.capacity, p.ready, err
+}
+
+// tenantRun is the session config of one run over the fleet: the
+// first images of the default dataset, seeded under "tenants/<cell>".
+func (h *Harness) tenantRun(cell string, images int) pipeline.Config {
 	ds := imagenet.DefaultConfig()
 	ds.Images = images
-	sess, err := pipeline.New(
-		pipeline.WithDataset(ds),
-		pipeline.WithNetwork(h.goog),
-		pipeline.WithBlob(h.blob),
-		pipeline.WithVPUs(tenantSticks),
-		pipeline.WithSeed(rng.New(h.cfg.Seed).Derive("tenants/capacity").Uint64()),
-	)
-	if err != nil {
-		return 0, 0, err
+	return pipeline.Config{
+		Dataset: ds,
+		Net:     h.goog,
+		Blob:    h.blob,
+		Seed:    rng.New(h.cfg.Seed).Derive("tenants/" + cell).Uint64(),
+		Groups:  []pipeline.Group{{Kind: pipeline.GroupVPU, Devices: tenantSticks}},
 	}
-	rep, err := sess.Run()
-	if err != nil {
-		return 0, 0, err
-	}
-	h.capCache[key] = probe{capacity: rep.Throughput, ready: rep.Job.ReadyAt}
-	return rep.Throughput, rep.Job.ReadyAt, nil
 }
 
 // tenantSteady builds the three well-behaved tenants: Poisson at
@@ -159,21 +144,10 @@ func tenantFlash(capacity float64, ready time.Duration, load float64, slo time.D
 // policy variant of one load cell shares arrival instants and device
 // jitter — a controlled comparison.
 func (h *Harness) tenantSession(cell string, images int, slo time.Duration, tc tenant.Config) (*pipeline.Report, error) {
-	ds := imagenet.DefaultConfig()
-	ds.Images = images
-	sess, err := pipeline.New(
-		pipeline.WithDataset(ds),
-		pipeline.WithNetwork(h.goog),
-		pipeline.WithBlob(h.blob),
-		pipeline.WithVPUs(tenantSticks),
-		pipeline.WithSLO(slo),
-		pipeline.WithTenants(tc),
-		pipeline.WithSeed(rng.New(h.cfg.Seed).Derive("tenants/"+cell).Uint64()),
-	)
-	if err != nil {
-		return nil, fmt.Errorf("bench: tenants %s: %w", cell, err)
-	}
-	rep, err := sess.Run()
+	scfg := h.tenantRun(cell, images)
+	scfg.SLO = slo
+	scfg.Tenants = tc
+	rep, _, err := runSession(scfg)
 	if err != nil {
 		return nil, fmt.Errorf("bench: tenants %s: %w", cell, err)
 	}

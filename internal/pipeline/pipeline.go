@@ -911,11 +911,6 @@ func (s *Session) Targets() []core.Target { return s.targets }
 // WithStream, nil otherwise.
 func (s *Session) Stream() *core.StreamSource { return s.stream }
 
-// FaultRegistry returns the session's injectable-device registry
-// (stick and port hooks under "ncs0".., batch engines under
-// "cpu"/"gpu"), for hand-wired fault.Apply experiments.
-func (s *Session) FaultRegistry() fault.Registry { return s.registry }
-
 // FaultLog returns the injected-fault log (nil until Run, empty when
 // no plan was configured). It fills in as the simulation runs.
 func (s *Session) FaultLog() *fault.Log { return s.faultLog }
