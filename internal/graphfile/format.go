@@ -48,9 +48,19 @@ type writer struct {
 	buf bytes.Buffer
 }
 
-func (w *writer) u8(v uint8)   { w.buf.WriteByte(v) }
-func (w *writer) u32(v uint32) { _ = binary.Write(&w.buf, binary.LittleEndian, v) }
-func (w *writer) u64(v uint64) { _ = binary.Write(&w.buf, binary.LittleEndian, v) }
+func (w *writer) u8(v uint8) { w.buf.WriteByte(v) }
+
+func (w *writer) u32(v uint32) {
+	var tmp [4]byte
+	binary.LittleEndian.PutUint32(tmp[:], v)
+	w.buf.Write(tmp[:])
+}
+
+func (w *writer) u64(v uint64) {
+	var tmp [8]byte
+	binary.LittleEndian.PutUint64(tmp[:], v)
+	w.buf.Write(tmp[:])
+}
 
 func (w *writer) uvarint(v uint64) {
 	var tmp [binary.MaxVarintLen64]byte
@@ -80,12 +90,15 @@ func (w *writer) strs(vals []string) {
 	}
 }
 
-// fp16Blob writes a float32 slice as binary16 values.
+// fp16Blob writes a float32 slice as binary16 values, encoded into
+// one byte slice and appended in a single write.
 func (w *writer) fp16Blob(data []float32) {
 	w.uvarint(uint64(len(data)))
-	for _, v := range data {
-		_ = binary.Write(&w.buf, binary.LittleEndian, half.FromFloat32(v).Bits())
+	b := make([]byte, 2*len(data))
+	for i, v := range data {
+		binary.LittleEndian.PutUint16(b[2*i:], half.FromFloat32(v).Bits())
 	}
+	w.buf.Write(b)
 }
 
 // reader deserializes primitive values and tracks errors so call
@@ -114,25 +127,32 @@ func (r *reader) u8() uint8 {
 }
 
 func (r *reader) u32() uint32 {
-	if r.err != nil {
+	var b [4]byte
+	if !r.fixed(b[:]) {
 		return 0
 	}
-	var v uint32
-	if err := binary.Read(r.r, binary.LittleEndian, &v); err != nil {
-		r.fail("truncated blob: %v", err)
-	}
-	return v
+	return binary.LittleEndian.Uint32(b[:])
 }
 
 func (r *reader) u64() uint64 {
-	if r.err != nil {
+	var b [8]byte
+	if !r.fixed(b[:]) {
 		return 0
 	}
-	var v uint64
-	if err := binary.Read(r.r, binary.LittleEndian, &v); err != nil {
-		r.fail("truncated blob: %v", err)
+	return binary.LittleEndian.Uint64(b[:])
+}
+
+// fixed fills b from the blob, failing with the truncation error when
+// fewer than len(b) bytes remain.
+func (r *reader) fixed(b []byte) bool {
+	if r.err != nil {
+		return false
 	}
-	return v
+	if _, err := io.ReadFull(r.r, b); err != nil {
+		r.fail("truncated blob: %v", err)
+		return false
+	}
+	return true
 }
 
 func (r *reader) uvarint() uint64 {
@@ -208,14 +228,14 @@ func (r *reader) fp16Blob() []float32 {
 		r.fail("weight blob of %d halves exceeds remaining %d bytes", n, r.r.Len())
 		return nil
 	}
+	b := make([]byte, 2*n)
+	if _, err := io.ReadFull(r.r, b); err != nil {
+		r.fail("truncated weights: %v", err)
+		return nil
+	}
 	out := make([]float32, n)
-	var bits uint16
 	for i := range out {
-		if err := binary.Read(r.r, binary.LittleEndian, &bits); err != nil {
-			r.fail("truncated weights: %v", err)
-			return nil
-		}
-		out[i] = half.FromBits(bits).Float32()
+		out[i] = half.FromBits(binary.LittleEndian.Uint16(b[2*i:])).Float32()
 	}
 	return out
 }

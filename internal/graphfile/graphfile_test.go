@@ -2,10 +2,14 @@ package graphfile
 
 import (
 	"bytes"
+	"fmt"
 	"hash/crc32"
+	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/half"
 	"repro/internal/nn"
 	"repro/internal/rng"
 	"repro/internal/tensor"
@@ -261,5 +265,60 @@ func TestQuickParseNeverPanics(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestFP16CodecCoversEveryFiniteHalf compiles an FC layer whose
+// weights are every finite binary16 value, in bit order, and checks
+// the parsed weights are bit-identical to the scalar half decode. A
+// blob cut inside that weight run (with a recomputed CRC, so only the
+// length check can catch it) must fail with the truncation error.
+func TestFP16CodecCoversEveryFiniteHalf(t *testing.T) {
+	var want []float32
+	for b := 0; b < 1<<16; b++ {
+		if h := half.FromBits(uint16(b)); h.IsFinite() {
+			want = append(want, h.Float32())
+		}
+	}
+	const inF = 256
+	outF := len(want) / inF
+	if outF*inF != len(want) {
+		t.Fatalf("%d finite halves do not fill %d-wide rows", len(want), inF)
+	}
+	fc := &nn.FullyConnected{
+		LayerName: "fc", InF: inF, OutF: outF,
+		Weights: tensor.FromSlice(append([]float32(nil), want...), outF, inF),
+		Bias:    tensor.New(outF),
+	}
+	g := nn.NewGraph("fp16-codec", tensor.Shape{inF, 1, 1})
+	g.MustAdd(fc, nn.InputName)
+	blob, err := Compile(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parsed, _, err := Parse(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := parsed.Layer("fc").(*nn.FullyConnected).Weights.Data
+	if len(got) != len(want) {
+		t.Fatalf("parsed %d weights, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+			t.Fatalf("weight %d: parsed bits %#08x, want %#08x", i, math.Float32bits(got[i]), math.Float32bits(want[i]))
+		}
+	}
+
+	// The payload ends with the weight run, the bias count (a 2-byte
+	// uvarint) and outF bias halves; cut 1001 bytes into the weights.
+	payload := blob[:len(blob)-4]
+	weightsEnd := len(payload) - 2 - 2*outF
+	cut := append([]byte(nil), payload[:weightsEnd-1001]...)
+	sum := crc32.ChecksumIEEE(cut)
+	cut = append(cut, byte(sum), byte(sum>>8), byte(sum>>16), byte(sum>>24))
+	wantErr := fmt.Sprintf("weight blob of %d halves exceeds remaining", len(want))
+	if _, _, err := Parse(cut); err == nil || !strings.Contains(err.Error(), wantErr) {
+		t.Errorf("blob cut inside the weight run: err = %v, want %q", err, wantErr)
 	}
 }

@@ -16,11 +16,14 @@
 package ncs
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"repro/internal/graphfile"
+	"repro/internal/nn"
 	"repro/internal/power"
 	"repro/internal/rng"
 	"repro/internal/sim"
@@ -313,7 +316,7 @@ func (d *Device) AllocateGraph(p *sim.Proc, blob []byte, opts GraphOptions) (*Gr
 		// The link dropped while the blob was in flight.
 		return nil, ErrClosed
 	}
-	net, info, err := graphfile.Parse(blob)
+	net, info, err := parseBlob(blob)
 	if err != nil {
 		return nil, fmt.Errorf("ncs: device %s rejected graph: %w", d.name, err)
 	}
@@ -329,7 +332,7 @@ func (d *Device) AllocateGraph(p *sim.Proc, blob []byte, opts GraphOptions) (*Gr
 	g := &Graph{
 		dev:        d,
 		engine:     engine,
-		info:       info,
+		info:       &info,
 		functional: opts.Functional,
 		inputBytes: info.InputShape.Elems() * 2, // FP16 tensor
 		resultBytes: func() int {
@@ -343,6 +346,38 @@ func (d *Device) AllocateGraph(p *sim.Proc, blob []byte, opts GraphOptions) (*Gr
 	d.graph = g
 	d.env.Process(d.name+"/runtime", g.runtime)
 	return g, nil
+}
+
+// firmware memoises the last blob the stick firmware parsed. Every
+// stick of a fleet, and every recovery re-open, allocates the same
+// blob, so the host parses each distinct blob once instead of once
+// per allocation. The virtual-time cost of the parse is charged by
+// AllocateGraph from the blob's length either way.
+var firmware struct {
+	mu   sync.Mutex
+	blob []byte // private copy of the last blob that parsed
+	net  *nn.Graph
+	info graphfile.Info
+}
+
+// parseBlob returns the network and header of blob. A blob equal byte
+// for byte to the last one that parsed shares its graph, which every
+// engine only reads; any other blob is parsed in full, checksum
+// included. Each call gets its own copy of the header.
+func parseBlob(blob []byte) (*nn.Graph, graphfile.Info, error) {
+	firmware.mu.Lock()
+	defer firmware.mu.Unlock()
+	if firmware.net == nil || !bytes.Equal(blob, firmware.blob) {
+		net, info, err := graphfile.Parse(blob)
+		if err != nil {
+			return nil, graphfile.Info{}, err
+		}
+		firmware.blob = bytes.Clone(blob)
+		firmware.net, firmware.info = net, *info
+	}
+	info := firmware.info
+	info.InputShape = info.InputShape.Clone()
+	return firmware.net, info, nil
 }
 
 // Close drains the device and shuts the runtime down

@@ -1,8 +1,10 @@
 package pipeline
 
 import (
+	"fmt"
 	"math"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -502,5 +504,50 @@ func TestSessionValidation(t *testing.T) {
 	}
 	if _, err := sess.Run(); err == nil {
 		t.Error("second Run accepted")
+	}
+}
+
+// TestParallelSessionsShareParsedBlob runs two functional VPU sessions
+// over the same blob in parallel goroutines. Their sticks share one
+// parsed network (the stick firmware parses each distinct blob once),
+// so under -race this is the witness that inference and engine setup
+// only read that network. The reports must be equal.
+func TestParallelSessionsShareParsedBlob(t *testing.T) {
+	const images = 8
+	reps := make([]string, 2)
+	errs := make([]error, 2)
+	var wg sync.WaitGroup
+	for i := range reps {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sess, err := New(
+				WithDataset(smallDataset(images)),
+				WithVPUs(2),
+				WithFunctional(true),
+			)
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			rep, err := sess.Run()
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			reps[i] = fmt.Sprintf("%s\nconfidence %v images %d", rep, rep.MeanConfidence, rep.Images)
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !strings.Contains(reps[0], fmt.Sprintf("images %d", images)) {
+		t.Errorf("session did not classify every image:\n%s", reps[0])
+	}
+	if reps[0] != reps[1] {
+		t.Errorf("parallel sessions over one blob differ:\n%s\nvs\n%s", reps[0], reps[1])
 	}
 }

@@ -141,15 +141,19 @@ func Mean(xs []float64) float64 {
 // midpoints. Use it for the small-to-medium samples of one run (per
 // item latencies); use Histogram when memory must stay bounded. The
 // zero value is ready to use.
+//
+// Queries keep the data sorted incrementally: values added since the
+// last query are sorted on their own and merged into the sorted
+// prefix, so a query after each Add (the hedge trigger's pattern)
+// costs a binary-search insert rather than a full re-sort.
 type Sample struct {
 	xs     []float64
-	sorted bool
+	sorted int // xs[:sorted] is in ascending order
 }
 
 // Add records x.
 func (s *Sample) Add(x float64) {
 	s.xs = append(s.xs, x)
-	s.sorted = false
 }
 
 // N returns the number of recorded values.
@@ -197,12 +201,45 @@ func (s *Sample) Quantile(q float64) float64 {
 	return s.xs[i]
 }
 
+// sort brings xs into ascending order by merging the unsorted tail
+// into the sorted prefix. Its cost is O(n) for a one-value tail and
+// O(t·log t + n) for a tail of t values, never more than a full sort.
+// A tail longer than the prefix (the first query of a sample, say) is
+// sorted in place with the prefix, so the merge buffer never exceeds
+// half the sample.
 func (s *Sample) sort() {
-	if !s.sorted {
+	n, k := len(s.xs), s.sorted
+	switch {
+	case k == n:
+		return
+	case n-k == 1:
+		x := s.xs[k]
+		i := sort.Search(k, func(i int) bool { return less(x, s.xs[i]) })
+		copy(s.xs[i+1:], s.xs[i:k])
+		s.xs[i] = x
+	case n-k > k:
 		sort.Float64s(s.xs)
-		s.sorted = true
+	default:
+		sort.Float64s(s.xs[k:])
+		tail := append([]float64(nil), s.xs[k:]...)
+		// Merge from the back so the prefix is never overwritten
+		// before it is read.
+		i, j := k-1, len(tail)-1
+		for w := n - 1; j >= 0; w-- {
+			if i >= 0 && less(tail[j], s.xs[i]) {
+				s.xs[w] = s.xs[i]
+				i--
+			} else {
+				s.xs[w] = tail[j]
+				j--
+			}
+		}
 	}
+	s.sorted = n
 }
+
+// less is sort.Float64s's order: ascending, NaNs first.
+func less(a, b float64) bool { return a < b || (math.IsNaN(a) && !math.IsNaN(b)) }
 
 // Line is a least-squares fit y = Slope*x + Intercept.
 type Line struct {

@@ -2,8 +2,11 @@ package stats
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/rng"
 )
 
 func almostEq(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
@@ -328,6 +331,57 @@ func TestSampleAgreesWithHistogram(t *testing.T) {
 		if diff := exact - approx; diff < -width || diff > width {
 			t.Errorf("q=%g: exact %g vs histogram %g differ by more than bucket width %g",
 				q, exact, approx, width)
+		}
+	}
+}
+
+// TestSampleIncrementalSortMatchesFullSort drives random interleavings
+// of Add and queries, with runs of one value (the binary-search insert)
+// and longer runs (the sorted-tail merge), over data with many
+// duplicates. Every query must equal the value read from a fresh
+// sort.Float64s of everything added so far.
+func TestSampleIncrementalSortMatchesFullSort(t *testing.T) {
+	src := rng.New(11)
+	for trial := 0; trial < 200; trial++ {
+		var s Sample
+		var all []float64
+		for step := 0; step < 300; step++ {
+			if src.Intn(3) > 0 {
+				x := float64(src.Intn(8)) // duplicates
+				if src.Intn(2) == 0 {
+					x = src.NormFloat64()
+				}
+				s.Add(x)
+				all = append(all, x)
+				continue
+			}
+			ref := append([]float64(nil), all...)
+			sort.Float64s(ref)
+			q := src.Float64()
+			var got, want float64
+			switch src.Intn(3) {
+			case 0:
+				got = s.Quantile(q)
+				if len(ref) > 0 {
+					want = ref[min(int(q*float64(len(ref))), len(ref)-1)]
+				}
+			case 1:
+				got = s.Min()
+				if len(ref) > 0 {
+					want = ref[0]
+				}
+			default:
+				got = s.Max()
+				if len(ref) > 0 {
+					want = ref[len(ref)-1]
+				}
+			}
+			if got != want {
+				t.Fatalf("trial %d step %d: got %g, want %g (n=%d)", trial, step, got, want, len(ref))
+			}
+			if !sort.Float64sAreSorted(s.xs) {
+				t.Fatalf("trial %d step %d: sample not sorted after a query", trial, step)
+			}
 		}
 	}
 }

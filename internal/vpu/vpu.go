@@ -167,7 +167,10 @@ func NewEngine(cfg Config, g *nn.Graph, seed *rng.Source) (*Engine, error) {
 // Config returns the engine's configuration.
 func (e *Engine) Config() Config { return e.cfg }
 
-// Graph returns the executed network.
+// Graph returns the executed network. Engines only read it — NewEngine
+// derives the cost table and Infer runs nn.Graph.Forward — so sticks
+// that allocate the same blob share one parsed network, and callers
+// must not mutate it.
 func (e *Engine) Graph() *nn.Graph { return e.graph }
 
 // BaseExecDuration returns the jitter-free single-inference execution
